@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -33,23 +32,11 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_ABORT = 4
 
-FAMILIES = {
-    "bottomless": geometry.BOTTOMLESS,
-    "strips": geometry.STRIPS,
-    "cross-union": geometry.CROSS_UNION,
-    "rectangles": geometry.RECTANGLES,
-    "octants": geometry.OCTANTS,
-    "tfin-slabs": geometry.TFIN_SLABS,
-    "hextants": geometry.HEXTANTS,
-}
-
 
 def _family(name: str, s: int = 1) -> RangeFamily:
     if name.startswith("strip-union"):
         return geometry.strip_union(s)
-    if name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    return FAMILIES[name]
+    return RangeFamily(name)
 
 
 def _read(path: str) -> dict:
@@ -67,11 +54,7 @@ def _emit(doc: dict, args) -> None:
 
 
 def _budget(args) -> solvers.SolveBudget:
-    return solvers.SolveBudget(
-        max_nodes=args.budget_nodes,
-        max_millis=args.budget_millis,
-        deterministic=args.deterministic,
-    )
+    return solvers.SolveBudget(max_nodes=args.budget_nodes, max_millis=args.budget_millis)
 
 
 def _vertex_set(spec: str, n: int, seed: int) -> VertexSet:
@@ -99,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the result document here instead of stdout")
     common.add_argument("--pretty", action="store_true", help="human-readable JSON")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("POLY_THREADS", "1")))
-    common.add_argument("--deterministic", action="store_true", default=True)
     common.add_argument("--budget-nodes", type=int, default=10**7)
     common.add_argument("--budget-millis", type=int, default=None)
 

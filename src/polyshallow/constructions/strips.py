@@ -225,7 +225,7 @@ def build_strip_no2shs(m: int) -> ConstructionInstance:
 # Falsifier
 # ---------------------------------------------------------------------------
 
-def _window_scan(order: list[int], sset: frozenset, m: int, lo: int, hi: int):
+def _window_scan(order: tuple[int, ...], sset: frozenset, m: int, lo: int, hi: int):
     """Yield (hits, window) for every exact-m window of order[lo:hi],
     using prefix sums for O(1) hit counts."""
     pref = [0]
@@ -252,15 +252,14 @@ def falsify_strips(inst: ConstructionInstance, s: VertexSet) -> ViolationWitness
     if len(chi_hits) >= 3:
         return checked_witness(inst, chi, len(chi_hits), m, 2)
 
-    pts = inst.points.points
-    by_y = sorted(range(len(pts)), key=lambda v: pts[v][1])
-    y_rank = {v: t for t, v in enumerate(by_y)}
-    by_x: list[int] = []  # sorted only when an x-window is needed
+    pts = inst.points
+    by_x, by_y = pts.orders[0][0], pts.orders[1][0]
 
-    def x_order():
-        if not by_x:
-            by_x.extend(sorted(range(len(pts)), key=lambda v: pts[v][0]))
-        return by_x
+    def span(axis, members):
+        """Places of the first and last members in the axis order."""
+        r = pts.ranks[axis]
+        return (pts.position(axis, min((r[v], v) for v in members)[1]),
+                pts.position(axis, max((r[v], v) for v in members)[1]))
 
     def violated(order, lo, hi):
         for hits, window in _window_scan(order, sset, m, lo, hi):
@@ -269,13 +268,12 @@ def falsify_strips(inst: ConstructionInstance, s: VertexSet) -> ViolationWitness
         return None
 
     def x_violated(members):
-        x_rank = {v: t for t, v in enumerate(x_order())}
-        span = [x_rank[v] for v in members]
-        return violated(by_x, min(span), max(span) + 1)
+        lo, hi = span(0, members)
+        return violated(by_x, lo, hi + 1)
 
     xi = chi_hits[0]
     i = chi.index(xi)
-    r = y_rank[xi]
+    r = pts.position(1, xi)
     g = lambda name, j: inst.group(f"{name}_{i}_{j}")
     # step 2: the y-windows through x_i
     w = violated(by_y, max(0, r - m + 1), min(len(by_y), r + m))
@@ -284,17 +282,15 @@ def falsify_strips(inst: ConstructionInstance, s: VertexSet) -> ViolationWitness
     if not any(v in sset for v in g("X", 1)):
         # step 3: x_i up to the top zone in y; super-strip (i, 1) in x
         strip = [v for name, j in _TOP_COLUMNS for v in g(name, j)]
-        w = (violated(by_y, r, max(y_rank[v] for v in strip) + 1)
-             or x_violated(strip))
+        w = violated(by_y, r, span(1, strip)[1] + 1) or x_violated(strip)
     else:
         # step 4: the low zone up to x_i in y; the low region in x
         region = [v for name, j in _LOW_COLUMNS for v in g(name, j)]
-        w = (violated(by_y, min(y_rank[v] for v in region), r + 1)
-             or x_violated(region))
+        w = violated(by_y, span(1, region)[0], r + 1) or x_violated(region)
     if w is not None:
         return w
     # complete fallback: every exact-m vertical and horizontal window
-    for order in (x_order(), by_y):
+    for order in (by_x, by_y):
         w = violated(order, 0, len(order))
         if w is not None:
             return w

@@ -246,15 +246,6 @@ def map_pq_to_octants(
     return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "octants", pairs)
 
 
-def _ranks(values: Sequence[Frac]) -> list[int]:
-    """1-based ranks with index tiebreak (symbolic perturbation)."""
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    rank = [0] * len(values)
-    for pos, i in enumerate(order, start=1):
-        rank[i] = pos
-    return rank
-
-
 def _increasing_labels(bases: list[int], coprime_to: int) -> list[int]:
     """Per point (in ascending x-rank): base * k with the smallest k >= 1
     coprime to `coprime_to` keeping labels strictly increasing."""
@@ -277,11 +268,8 @@ def map_octants_to_pq(p3: PointSet, p: int, q: int) -> Correspondence:
         raise ValueError("need a 3-dimensional point set")
     if p < 2 or q < 2 or not _coprime(p, q):
         raise ValueError("p, q must be coprime and >= 2")
-    xr = _ranks([pt[0] for pt in p3.points])
-    yr = _ranks([pt[1] for pt in p3.points])
-    zr = _ranks([pt[2] for pt in p3.points])
-    by_x = sorted(range(len(p3.points)), key=lambda i: xr[i])
-    bases = [p ** yr[i] * q ** zr[i] for i in by_x]
+    by_x = p3.orders[0][0]
+    bases = [p ** (1 + p3.position(1, i)) * q ** (1 + p3.position(2, i)) for i in by_x]
     labels = _increasing_labels(bases, p * q)
     pairs = tuple(sorted((labels[pos], i) for pos, i in enumerate(by_x)))
     return Correspondence("points-to-numbers", "octants", pairs)
@@ -296,12 +284,9 @@ def map_hextants_to_pqr(p4: PointSet, p1: int, p2: int, p3_: int) -> Corresponde
             raise ValueError("bases must be pairwise coprime")
     if min(p1, p2, p3_) < 2:
         raise ValueError("bases must be >= 2")
-    xr = _ranks([pt[0] for pt in p4.points])
-    yr = _ranks([pt[1] for pt in p4.points])
-    zr = _ranks([pt[2] for pt in p4.points])
-    wr = _ranks([pt[3] for pt in p4.points])
-    by_x = sorted(range(len(p4.points)), key=lambda i: xr[i])
-    bases = [p1 ** yr[i] * p2 ** zr[i] * p3_ ** wr[i] for i in by_x]
+    by_x = p4.orders[0][0]
+    bases = [p1 ** (1 + p4.position(1, i)) * p2 ** (1 + p4.position(2, i))
+             * p3_ ** (1 + p4.position(3, i)) for i in by_x]
     labels = _increasing_labels(bases, p1 * p2 * p3_)
     pairs = tuple(sorted((labels[pos], i) for pos, i in enumerate(by_x)))
     return Correspondence("points-to-numbers", "hextants", pairs)
@@ -315,7 +300,7 @@ def check_corner_divisibility(
     fam = OCTANTS if pts.dim == 3 else HEXTANTS
     from .geometry import capture_edges  # local import to avoid cycle noise
 
-    ranks = [_ranks([pt[ax] for pt in pts.points]) for ax in range(1, pts.dim)]
+    ranks = [[1 + pts.position(ax, i) for i in range(len(pts))] for ax in range(1, pts.dim)]
     labels = {i: corr.label_of(i) for i in range(len(pts.points))}
     h = capture_edges(pts, fam)
     for e in h.edges:
@@ -335,14 +320,13 @@ def check_tfin_prefix(pts: PointSet, corr: Correspondence) -> PreservationReport
 
     labels = [corr.label_of(i) for i in range(len(pts.points))]
     h = capture_edges(pts, TFIN_SLABS)
+    xr, yr, zr = pts.ranks
     for e in h.edges:
-        lox = min(pts.points[i][0] for i in e)
-        topy = max(pts.points[i][1] for i in e)
-        topz = max(pts.points[i][2] for i in e)
+        lox = min(xr[i] for i in e)
+        topy = max(yr[i] for i in e)
+        topz = max(zr[i] for i in e)
         octant_edge = [
-            i
-            for i, pt in enumerate(pts.points)
-            if pt[0] >= lox and pt[1] <= topy and pt[2] <= topz
+            i for i in range(len(pts)) if xr[i] >= lox and yr[i] <= topy and zr[i] <= topz
         ]
         oct_labels = sorted(labels[i] for i in octant_edge)
         e_labels = sorted(labels[i] for i in e)

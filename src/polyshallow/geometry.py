@@ -11,16 +11,25 @@ Families and boundary conventions (as in the source definitions):
 - tfin-slabs:  x1 <= x <= x2, y <= y0, z <= z0 (closed, dim 3)
 - hextants:    x >= x0, y <= y0, z <= z0, w <= w0 (closed, dim 4)
 
-All coordinates are exact rationals. Enumeration is combinatorial over
-coordinate ranks; tied coordinates are inseparable (no boundary between
-them), which makes the strict/closed distinction immaterial except at ties.
-Every operation returns canonically sorted, deterministic output.
+All coordinates are exact rationals, but capture depends only on their
+order, so every test runs in rank space (the reduction of Gabow, Bentley
+and Tarjan, STOC 1984). A point set computes, once and only when first
+asked, the dense rank of each point on each axis (``PointSet.ranks``) and
+per axis the point indices sorted by (rank, index) with their ranks
+(``PointSet.orders``). Tied coordinates share a rank: they are inseparable
+(no boundary between them), which makes the strict/closed distinction
+immaterial except at ties. After that one sort per axis, no capture test
+compares a Fraction. Every operation returns canonically sorted,
+deterministic output.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, VertexSet
@@ -106,6 +115,41 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
+    # Rank space: cached on first use, never part of ==, hash or formats.
+
+    @cached_property
+    def orders(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per axis, (order, keys): the point indices sorted by (coordinate,
+        index) and the dense rank of each of them, in that order. The sort
+        compares ints: the coordinates scaled to a common denominator."""
+        out = []
+        for ax in range(self.dim):
+            col = [pt[ax] for pt in self.points]
+            scale = math.lcm(*(c.denominator for c in col))
+            ints = [c.numerator * (scale // c.denominator) for c in col]
+            order = tuple(sorted(range(len(ints)), key=ints.__getitem__))
+            keys = []
+            for t, i in enumerate(order):
+                keys.append(0 if t == 0 else keys[-1] + (ints[i] != ints[order[t - 1]]))
+            out.append((order, tuple(keys)))
+        return tuple(out)
+
+    @cached_property
+    def ranks(self) -> tuple[tuple[int, ...], ...]:
+        """ranks[axis][i]: dense rank of point i on the axis (ties share one)."""
+        out = []
+        for order, keys in self.orders:
+            r = [0] * len(order)
+            for i, k in zip(order, keys):
+                r[i] = k
+            out.append(tuple(r))
+        return tuple(out)
+
+    def position(self, axis: int, i: int) -> int:
+        """Place of point i in the (rank, index) order of the axis."""
+        order, keys = self.orders[axis]
+        return order.index(i, bisect_left(keys, self.ranks[axis][i]))
+
 
 def _check_dims(p: PointSet, fam: RangeFamily) -> None:
     if p.dim != fam.dim:
@@ -116,36 +160,47 @@ def _check_dims(p: PointSet, fam: RangeFamily) -> None:
 # Rank-space helpers
 # ---------------------------------------------------------------------------
 
-def _axis_values(p: PointSet, axis: int) -> list[Fraction]:
-    return sorted(set(pt[axis] for pt in p.points))
+def _rank_groups(p: PointSet, axis: int) -> list[list[int]]:
+    """Point indices grouped by rank on the axis, ascending; ascending
+    indices inside a group."""
+    order, keys = p.orders[axis]
+    groups: list[list[int]] = []
+    for i, k in zip(order, keys):
+        if k == len(groups):
+            groups.append([])
+        groups[k].append(i)
+    return groups
 
 
 def _runs(p: PointSet, axis: int):
     """All point subsets cut out by one open or closed interval on an axis:
-    contiguous runs of distinct coordinate values. Yields frozensets."""
-    vals = _axis_values(p, axis)
-    by_val = {v: [] for v in vals}
-    for i, pt in enumerate(p.points):
-        by_val[pt[axis]].append(i)
-    for lo in range(len(vals)):
+    contiguous runs of ranks. Yields frozensets."""
+    groups = _rank_groups(p, axis)
+    for lo in range(len(groups)):
         cur: list[int] = []
-        for hi in range(lo, len(vals)):
-            cur = cur + by_val[vals[hi]]
+        for g in groups[lo:]:
+            cur = cur + g
             yield frozenset(cur)
 
 
 def _downsets(p: PointSet, axis: int):
-    """Subsets {pt : pt[axis] <= cut} for every distinct cut value (and the
-    empty set via no cut). Yields (cut_rank, frozenset); rank -1 is empty."""
-    vals = _axis_values(p, axis)
-    by_val = {v: [] for v in vals}
-    for i, pt in enumerate(p.points):
-        by_val[pt[axis]].append(i)
+    """Subsets {pt : rank on the axis <= cut} for every cut, after the
+    empty set."""
     cur: set[int] = set()
-    yield -1, frozenset()
-    for r, v in enumerate(vals):
-        cur |= set(by_val[v])
-        yield r, frozenset(cur)
+    yield frozenset()
+    for g in _rank_groups(p, axis):
+        cur |= set(g)
+        yield frozenset(cur)
+
+
+def _upsets_x(p: PointSet) -> list[frozenset]:
+    """Subsets {pt : x rank >= cut} for every cut."""
+    out = []
+    cur: set[int] = set(range(len(p.points)))
+    for g in _rank_groups(p, 0):
+        out.append(frozenset(cur))
+        cur -= set(g)
+    return out
 
 
 def _strip_captures(p: PointSet) -> list[frozenset]:
@@ -177,7 +232,7 @@ def capture_edges(
     sets: set[frozenset] = set()
 
     if fam.tag == "bottomless":
-        downs = [s for _, s in _downsets(p, 1) if s]
+        downs = [s for s in _downsets(p, 1) if s]
         for run in _runs(p, 0):
             for d in downs:
                 s = run & d
@@ -216,15 +271,15 @@ def capture_edges(
         for ux in ups:
             for combo in itertools.product(*down_axes):
                 s = ux
-                for _, d in combo:
+                for d in combo:
                     s = s & d
                     if not s:
                         break
                 if s:
                     sets.add(s)
     elif fam.tag == "tfin-slabs":
-        downs_y = [d for _, d in _downsets(p, 1)]
-        downs_z = [d for _, d in _downsets(p, 2)]
+        downs_y = list(_downsets(p, 1))
+        downs_z = list(_downsets(p, 2))
         for run in _runs(p, 0):
             for dy in downs_y:
                 s0 = run & dy
@@ -244,146 +299,109 @@ def capture_edges(
     return Hypergraph.from_edges(n, (tuple(sorted(s)) for s in sets))
 
 
-def _upsets_x(p: PointSet) -> list[frozenset]:
-    """Subsets {pt : pt[0] >= cut} for every distinct cut value."""
-    vals = _axis_values(p, 0)
-    by_val = {v: [] for v in vals}
-    for i, pt in enumerate(p.points):
-        by_val[pt[0]].append(i)
-    out = []
-    cur: set[int] = set(range(len(p.points)))
-    for v in vals:
-        out.append(frozenset(cur))
-        cur -= set(by_val[v])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # capture_contains: direct membership tests, independent of capture_edges
 # ---------------------------------------------------------------------------
 
-def _contains_interval(p: PointSet, axis: int, subset: frozenset) -> bool:
-    """Can one interval on `axis` cut out exactly `subset`? (rank-inseparable
-    ties: a point sharing a coordinate with a member cannot be excluded)."""
-    lo = min(p.points[i][axis] for i in subset)
-    hi = max(p.points[i][axis] for i in subset)
-    for i, pt in enumerate(p.points):
-        if i in subset:
+# How a box family bounds each axis: bit _LO bounds it below, bit _UP above.
+_LO, _UP = 1, 2
+_FREE, _TWO = 0, _LO | _UP
+_X_INTERVAL, _Y_INTERVAL = (_TWO, _FREE), (_FREE, _TWO)
+_BOXES = {
+    "bottomless": ((_TWO, _UP),),
+    "strips": (_X_INTERVAL, _Y_INTERVAL),
+    "rectangles": ((_TWO, _TWO),),
+    "octants": ((_LO, _UP, _UP),),
+    "tfin-slabs": ((_TWO, _UP, _UP),),
+    "hextants": ((_LO, _UP, _UP, _UP),),
+}
+
+
+def _contains_box(
+    p: PointSet, spec: tuple[int, ...], subset: frozenset, allowed: Optional[frozenset] = None
+) -> bool:
+    """Does the smallest box of the axis spec that holds `subset` hold no
+    point outside `allowed` (default: `subset`)? A point tied with a member
+    on a bounded axis cannot be excluded. Only the points inside the
+    narrowest rank window of a bounded axis are scanned."""
+    if allowed is None:
+        allowed = subset
+    box, window = [], None
+    for ax, kind in enumerate(spec):
+        if not kind:
             continue
-        if lo <= pt[axis] <= hi:
-            return False
+        r = p.ranks[ax]
+        vals = [r[i] for i in subset]
+        lo = min(vals) if kind & _LO else 0
+        hi = max(vals) if kind & _UP else len(r)
+        box.append((r, lo, hi))
+        order, keys = p.orders[ax]
+        start, stop = bisect_left(keys, lo), bisect_right(keys, hi)
+        if window is None or stop - start < len(window):
+            window = order[start:stop]
+    for i in window:
+        if i not in allowed:
+            for r, lo, hi in box:
+                if not lo <= r[i] <= hi:
+                    break
+            else:
+                return False
     return True
 
 
-def _contains_bottomless(p: PointSet, subset: frozenset) -> bool:
-    lo = min(p.points[i][0] for i in subset)
-    hi = max(p.points[i][0] for i in subset)
-    top = max(p.points[i][1] for i in subset)
-    for i, pt in enumerate(p.points):
-        if i in subset:
-            continue
-        if lo <= pt[0] <= hi and pt[1] <= top:
-            return False
-    return True
-
-
-def _contains_rect(p: PointSet, subset: frozenset) -> bool:
-    lox = min(p.points[i][0] for i in subset)
-    hix = max(p.points[i][0] for i in subset)
-    loy = min(p.points[i][1] for i in subset)
-    hiy = max(p.points[i][1] for i in subset)
-    for i, pt in enumerate(p.points):
-        if i in subset:
-            continue
-        if lox <= pt[0] <= hix and loy <= pt[1] <= hiy:
-            return False
-    return True
-
-
-def _contains_corner(p: PointSet, subset: frozenset) -> bool:
-    """Octants / hextants: x >= x0, other axes <= cuts."""
-    x0 = min(p.points[i][0] for i in subset)
-    tops = [max(p.points[i][ax] for i in subset) for ax in range(1, p.dim)]
-    for i, pt in enumerate(p.points):
-        if i in subset:
-            continue
-        if pt[0] >= x0 and all(pt[ax] <= tops[ax - 1] for ax in range(1, p.dim)):
-            return False
-    return True
-
-
-def _contains_tfin(p: PointSet, subset: frozenset) -> bool:
-    lox = min(p.points[i][0] for i in subset)
-    hix = max(p.points[i][0] for i in subset)
-    topy = max(p.points[i][1] for i in subset)
-    topz = max(p.points[i][2] for i in subset)
-    for i, pt in enumerate(p.points):
-        if i in subset:
-            continue
-        if lox <= pt[0] <= hix and pt[1] <= topy and pt[2] <= topz:
-            return False
-    return True
+def _maximal_usable_runs(p: PointSet, subset: frozenset, axis: int) -> list[frozenset]:
+    """Maximal contiguous runs of ranks on `axis` all of whose points are
+    members of `subset`; each is the capture of one strip inside it."""
+    order, keys = p.orders[axis]
+    bad = {k for i, k in zip(order, keys) if i not in subset}
+    out, cur = [], []
+    for i, k in zip(order, keys):
+        if k not in bad:
+            cur.append(i)
+        elif cur:
+            out.append(frozenset(cur))
+            cur = []
+    if cur:
+        out.append(frozenset(cur))
+    return out
 
 
 def _contains_strip_union(p: PointSet, subset: frozenset, s: int) -> bool:
     """Greedy-free exact search: try to write subset as a union of <= s
     single-strip captures whose union avoids non-members."""
-    if s == 1:
-        return _contains_interval(p, 0, subset) or _contains_interval(p, 1, subset)
-    # candidate strips: maximal-by-inclusion runs inside subset on each axis
-    cands = _subset_strip_parts(p, subset)
-    # cover `subset` by at most s candidates (small instances: DFS)
-    target = subset
+    # candidate strips: the maximal runs inside subset on each axis, which
+    # dominate smaller ones
+    cands = _maximal_usable_runs(p, subset, 0) + _maximal_usable_runs(p, subset, 1)
 
+    # cover `subset` by at most s candidates (small instances: DFS)
     def dfs(remaining: frozenset, depth: int) -> bool:
         if not remaining:
             return True
         if depth == 0:
             return False
         v = min(remaining)
-        for c in cands:
-            if v in c:
-                if dfs(remaining - c, depth - 1):
-                    return True
-        return False
+        return any(dfs(remaining - c, depth - 1) for c in cands if v in c)
 
-    return dfs(target, s)
+    return dfs(subset, s)
 
 
-def _maximal_usable_runs(p: PointSet, subset: frozenset, axis: int) -> list[frozenset]:
-    """Maximal contiguous runs of distinct `axis` values all of whose points
-    are members of `subset`; each is the capture of one strip inside it."""
-    vals = _axis_values(p, axis)
-    member_vals = set(p.points[i][axis] for i in subset)
-    usable = [
-        v in member_vals
-        and all((p.points[i][axis] != v) or (i in subset) for i in range(len(p.points)))
-        for v in vals
-    ]
-    out = []
-    i = 0
-    while i < len(vals):
-        if not usable[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(vals) and usable[j + 1]:
-            j += 1
-        run = frozenset(
-            k for k in range(len(p.points)) if vals[i] <= p.points[k][axis] <= vals[j]
-        )
-        out.append(run)
-        i = j + 1
-    return out
+def _contains_cross(p: PointSet, subset: frozenset) -> bool:
+    """One vertical plus one horizontal strip (either may be placed empty).
 
-
-def _subset_strip_parts(p: PointSet, subset: frozenset) -> list[frozenset]:
-    """Single-strip captures wholly inside `subset` (candidates for union
-    covers), both orientations. Maximal runs dominate smaller ones."""
-    out: list[frozenset] = []
-    for axis in (0, 1):
-        out.extend(_maximal_usable_runs(p, subset, axis))
-    return [c for c in out if c]
+    Need intervals I_x, I_y with: every member in I_x or I_y (by the right
+    coordinate), every non-member in neither. It suffices to try each
+    maximal usable run V on one axis (all points at its ranks are members)
+    and cover the remainder by the other axis' span: a larger V only
+    shrinks the remainder's span, so maximal runs dominate.
+    """
+    if any(_contains_box(p, spec, subset) for spec in _BOXES["strips"]):
+        return True
+    for axis, other in ((0, _Y_INTERVAL), (1, _X_INTERVAL)):
+        for v in _maximal_usable_runs(p, subset, axis):
+            rest = subset - v
+            if not rest or _contains_box(p, other, rest, subset):
+                return True
+    return False
 
 
 def capture_contains(p: PointSet, fam: RangeFamily, subset: VertexSet | Iterable[int]) -> bool:
@@ -398,51 +416,14 @@ def capture_contains(p: PointSet, fam: RangeFamily, subset: VertexSet | Iterable
         sub = frozenset(subset)
     if not sub:
         return False
-    if any(v < 0 or v >= len(p.points) for v in sub):
+    if min(sub) < 0 or max(sub) >= len(p.points):
         raise IndexError("subset index out of range")
-    if fam.tag == "bottomless":
-        return _contains_bottomless(p, sub)
-    if fam.tag == "strips":
-        return _contains_interval(p, 0, sub) or _contains_interval(p, 1, sub)
-    if fam.tag == "strip-union":
-        return _contains_strip_union(p, sub, fam.s)
     if fam.tag == "cross-union":
         return _contains_cross(p, sub)
-    if fam.tag == "rectangles":
-        return _contains_rect(p, sub)
-    if fam.tag in ("octants", "hextants"):
-        return _contains_corner(p, sub)
-    if fam.tag == "tfin-slabs":
-        return _contains_tfin(p, sub)
-    raise AssertionError(fam.tag)  # pragma: no cover
-
-
-def _contains_cross(p: PointSet, subset: frozenset) -> bool:
-    """One vertical plus one horizontal strip (either may be placed empty).
-
-    Need intervals I_x, I_y with: every member in I_x or I_y (by the right
-    coordinate), every non-member in neither. It suffices to try each
-    maximal usable run V on one axis (all points at its values are members)
-    and cover the remainder by the other axis' span: a larger V only
-    shrinks the remainder's span, so maximal runs dominate.
-    """
-    if _contains_interval(p, 0, subset) or _contains_interval(p, 1, subset):
-        return True
-    for axis in (0, 1):
-        other = 1 - axis
-        for v in _maximal_usable_runs(p, subset, axis):
-            rest = subset - v
-            if not rest:
-                return True
-            lo = min(p.points[i][other] for i in rest)
-            hi = max(p.points[i][other] for i in rest)
-            if all(
-                (i in subset)
-                for i, pt in enumerate(p.points)
-                if lo <= pt[other] <= hi
-            ):
-                return True
-    return False
+    if fam.tag == "strip-union" and fam.s > 1:
+        return _contains_strip_union(p, sub, fam.s)
+    boxes = _BOXES["strips" if fam.tag == "strip-union" else fam.tag]
+    return any(_contains_box(p, spec, sub) for spec in boxes)
 
 
 __all__ = [
@@ -535,7 +516,7 @@ def shrink_edge(p: PointSet, fam: RangeFamily, e: VertexSet) -> VertexSet:
     order: list[int] = []
 
     def extreme(axis: int, want_max: bool) -> int:
-        key = lambda i: (p.points[i][axis], i)
+        key = lambda i: (p.ranks[axis][i], i)
         return (max if want_max else min)(members, key=key)
 
     axes_plan = [(1, True), (0, False), (0, True), (1, False)]

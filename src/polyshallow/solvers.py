@@ -185,7 +185,8 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
     v0 = next_var()
     if v0 == -1:
         chi = ColorAssignment(k, tuple(color))
-        assert is_polychromatic(h, chi) is True
+        if is_polychromatic(h, chi) is not True:
+            raise AssertionError("solver colouring failed its re-check")
         return SolveResult(SAT, chi, SolveStats(0, 0, clock.spent_millis()))
     stack.append([v0, 0, len(trail)])
     stats = SolveStats()
@@ -209,7 +210,8 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
             w = next_var()
             if w == -1:
                 chi = ColorAssignment(k, tuple(cc if cc != -1 else 0 for cc in color))
-                assert is_polychromatic(h, chi) is True
+                if is_polychromatic(h, chi) is not True:
+                    raise AssertionError("solver colouring failed its re-check")
                 stats.nodes = clock.nodes
                 stats.millis = clock.spent_millis()
                 undo_to(0)
@@ -317,7 +319,8 @@ def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudg
     t0 = next_pos(0)
     if t0 == n:
         u = current_set()
-        assert is_shallow_hitting(h, u, c) is True
+        if is_shallow_hitting(h, u, c) is not True:
+            raise AssertionError("solver hitting set failed its re-check")
         return SolveResult(SAT, u, SolveStats(0, 0, clock.spent_millis()))
     stack: list[list[int]] = [[t0, 0, len(trail)]]  # (order position, value index, trail mark)
     values = (1, 0)  # membership tried in-first, fixed order
@@ -343,7 +346,8 @@ def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudg
             w = next_pos(t + 1)
             if w == n:
                 u = current_set()
-                assert is_shallow_hitting(h, u, c) is True
+                if is_shallow_hitting(h, u, c) is not True:
+                    raise AssertionError("solver hitting set failed its re-check")
                 stats.nodes = clock.nodes
                 stats.millis = clock.spent_millis()
                 undo_to(0)
@@ -452,7 +456,8 @@ def min_m_polychromatic(
         hm = restrict_at_least(h, m)
         res = solve_polychromatic(hm, k, budget)
         if res.status == SAT:
-            assert is_polychromatic(hm, res.witness) is True
+            if is_polychromatic(hm, res.witness) is not True:
+                raise AssertionError("solver colouring failed its re-check")
             return MRecord(instance_id, k, m, res.witness, unsat_stats)
         if res.status == BUDGET_EXHAUSTED:
             return MRecord(instance_id, k, m, None, unsat_stats, status=BUDGET_EXHAUSTED)

@@ -130,3 +130,16 @@ def test_console_entry_point():
         [sys.executable, "-m", "polyshallow.cli", "min-c", "--hypergraph", "/dev/null"],
         capture_output=True, text=True)
     assert proc.returncode == 2  # validation error on bad input
+
+
+def test_stray_poly_threads_value_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("POLY_THREADS", "abc")
+    code = main(["generate", "thm2", "--m", "12", "--out", str(tmp_path / "inst.json")])
+    assert code == 0
+
+
+def test_unknown_family_is_a_validation_error(tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"format": 1, "dim": 2, "points": [[0, 0]]}))
+    code, _ = run_cli(tmp_path, "capture", "--family", "squares", "--points", str(p))
+    assert code == 2

@@ -1,8 +1,13 @@
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_capture_sets, rand_points, rand_points_distinct
+from polyshallow import formats
 from polyshallow.core import VertexSet
 from polyshallow.geometry import (
     BOTTOMLESS,
@@ -173,3 +178,60 @@ def test_capture_deterministic_and_sorted():
     b = capture_edges(p, BOTTOMLESS)
     assert a == b
     assert list(a.edges) == sorted(a.edges)
+
+
+# ---------------------------------------------------------------------------
+# Rank space: the fast membership test against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _nonempty_subsets(n):
+    for k in range(1, n + 1):
+        for c in itertools.combinations(range(n), k):
+            yield frozenset(c)
+
+
+@pytest.mark.parametrize("coord_range", [2, 4, 8])
+def test_contains_matches_oracle_on_every_subset(coord_range):
+    """Both answers: capture_contains is True exactly on the oracle's sets,
+    on every nonempty subset of small point sets with tied coordinates."""
+    rng = random.Random(100 + coord_range)
+    for fam in ALL_FAMILIES:
+        for _ in range(100):
+            p = rand_points(rng, rng.randint(1, 7), fam.dim, coord_range=coord_range)
+            want = oracle_capture_sets(p, fam.tag, fam.s)
+            for sub in _nonempty_subsets(len(p)):
+                assert capture_contains(p, fam, sub) is (sub in want), (fam.tag, p.points, sub)
+
+
+@st.composite
+def _points_and_subset(draw, dim):
+    coords = st.tuples(*[st.integers(0, 4)] * dim)
+    pts = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
+    sub = draw(st.sets(st.integers(0, len(pts) - 1), min_size=1))
+    return PointSet.of(pts), frozenset(sub)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_contains_matches_oracle_property(fam, data):
+    p, sub = data.draw(_points_and_subset(fam.dim))
+    assert capture_contains(p, fam, sub) is (sub in oracle_capture_sets(p, fam.tag, fam.s))
+
+
+def test_ranks_share_ties_and_orders_break_them_by_index():
+    p = PointSet.of([(0, 5), (2, 5), (0, 1)])
+    assert p.ranks == ((0, 1, 0), (1, 1, 0))
+    assert p.orders == (((0, 2, 1), (0, 0, 1)), ((2, 0, 1), (0, 1, 1)))
+    assert [p.position(0, i) for i in range(3)] == [0, 2, 1]
+
+
+def test_rank_cache_keeps_equality_hash_and_formats():
+    p = rand_points(random.Random(18), 7, 3, coord_range=3)
+    fresh = PointSet.of(p.points)
+    text = formats.dumps(formats.points_doc(fresh))
+    assert capture_contains(p, OCTANTS, range(len(p))) is True  # fills the cache
+    assert "ranks" in vars(p) and "orders" in vars(p) and "ranks" not in vars(fresh)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert formats.dumps(formats.points_doc(p)) == text
+    assert formats.points_from(json.loads(text)) == p

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from polyshallow.core import (
     is_shallow_hitting,
     restrict_at_least,
 )
+from polyshallow import solvers
 from polyshallow.geometry import STRIPS, capture_edges
 from polyshallow.solvers import (
     BUDGET_EXHAUSTED,
@@ -191,3 +195,38 @@ def test_probe_candidates_deterministic():
     b = probe_candidates(h, 2, 10, seed=5)
     assert [x.members for x in a] == [y.members for y in b]
     assert len(a) == 10
+
+
+ONE = Hypergraph.from_edges(1, [[0]])  # decided before any branching
+QUAD = Hypergraph.from_edges(4, [[0, 1, 2, 3]])
+PAIRS = Hypergraph.from_edges(4, [[0, 1], [2, 3]])
+
+
+@pytest.mark.parametrize("run, checker, rejected_call", [
+    (lambda: solve_polychromatic(ONE, 1), "is_polychromatic", 1),
+    (lambda: solve_polychromatic(QUAD, 2), "is_polychromatic", 1),
+    (lambda: solve_shallow_hitting(ONE, 1), "is_shallow_hitting", 1),
+    (lambda: solve_shallow_hitting(PAIRS, 1), "is_shallow_hitting", 1),
+    (lambda: min_m_polychromatic(QUAD, 2), "is_polychromatic", 2),  # its own re-check
+], ids=["color-root", "color-search", "hit-root", "hit-search", "min-m"])
+def test_rejected_witness_raises(monkeypatch, run, checker, rejected_call):
+    calls = []
+
+    def check(*args):
+        calls.append(args)
+        return len(calls) != rejected_call
+
+    monkeypatch.setattr(solvers, checker, check)
+    with pytest.raises(AssertionError, match="failed its re-check"):
+        run()
+
+
+def test_witness_recheck_runs_under_python_O():
+    code = ("from polyshallow import core, solvers\n"
+            "solvers.is_shallow_hitting = lambda *a: False\n"
+            "try:\n"
+            "    solvers.solve_shallow_hitting(core.Hypergraph.from_edges(1, [[0]]), 1)\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(7)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 7
