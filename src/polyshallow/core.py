@@ -26,19 +26,17 @@ class Hypergraph:
         canon = set()
         for e in edges:
             t = tuple(sorted(set(e)))
-            if not t:
-                continue
-            if t[0] < 0 or t[-1] >= n:
-                raise ValueError(f"edge {t} has a vertex outside [0, {n})")
-            canon.add(t)
+            if t:
+                canon.add(t)
         return Hypergraph(n, tuple(sorted(canon)))
 
     def __post_init__(self):
         for e in self.edges:
-            if any(v < 0 or v >= self.n for v in e):
-                raise ValueError(f"edge {e} has a vertex outside [0, {self.n})")
             if list(e) != sorted(set(e)):
                 raise ValueError(f"edge {e} is not sorted/deduplicated")
+            # sorted, so its ends bound every vertex
+            if e and (e[0] < 0 or e[-1] >= self.n):
+                raise ValueError(f"edge {e} has a vertex outside [0, {self.n})")
         if list(self.edges) != sorted(set(self.edges)):
             raise ValueError("edge list is not canonically sorted")
 

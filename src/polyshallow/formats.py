@@ -26,6 +26,8 @@ def dumps(doc: dict, pretty: bool = False) -> str:
 
 
 def _check_format(doc: dict) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError("document is not a JSON object")
     if doc.get("format") != FORMAT:
         raise ValueError(f"unsupported format {doc.get('format')!r}")
 
@@ -40,9 +42,20 @@ def hypergraph_doc(h: Hypergraph) -> dict:
     return {"format": FORMAT, "n": h.n, "edges": [list(e) for e in h.edges]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def hypergraph_from(doc: dict) -> Hypergraph:
     _check_format(doc)
-    return Hypergraph.from_edges(doc["n"], doc["edges"])
+    n, edges = doc["n"], doc["edges"]
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
+    ):
+        raise ValueError("edges must be a list of lists of integers")
+    return Hypergraph.from_edges(n, edges)
 
 
 # -- point set ---------------------------------------------------------------

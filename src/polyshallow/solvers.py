@@ -2,10 +2,23 @@
 hitting sets, brute-force oracles for cross-validation, and the shrink /
 hit / delete coloring pipeline.
 
-Both solvers are iterative depth-first searches with trail-based undo and
-unit-style propagation; UNSAT is reported only when the search space is
-exhausted (pruning removes only provably dead branches). SAT witnesses are
-re-verified through the core checkers before being returned.
+Both solvers run on one engine, `_search`: an iterative depth-first search
+that branches on the undecided vertices in a static degree-then-index
+order, undoes through a trail of decided vertices and stops at a node or
+wall-clock budget. Each problem brings a small propagator that keeps
+per-edge counters, decides the vertices they force and reports dead edges:
+
+- `_Coloring` keeps, per edge, a count of each color and the number of
+  colors still missing. An edge with one missing color and one uncolored
+  vertex forces that vertex to the missing color; an edge missing more
+  colors than it has uncolored vertices is dead.
+- `_Hitting` keeps, per edge, the (chosen, undecided) counters. An edge
+  with nothing chosen and one undecided vertex forces it in; an edge with
+  c chosen forces its undecided vertices out.
+
+UNSAT is reported only when the search space is exhausted (pruning removes
+only provably dead branches). SAT witnesses are re-verified through the
+core checkers before being returned.
 """
 from __future__ import annotations
 
@@ -35,7 +48,6 @@ class SolveBudget:
 
     max_nodes: Optional[int] = 10**7
     max_millis: Optional[int] = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_nodes is None and self.max_millis is None:
@@ -73,27 +85,151 @@ def _static_order(h: Hypergraph) -> list[int]:
     return sorted(range(h.n), key=lambda v: (-deg[v], v))
 
 
-class _Clock:
-    def __init__(self, budget: SolveBudget):
-        self.budget = budget
-        self.t0 = time.monotonic()
-        self.nodes = 0
+# ---------------------------------------------------------------------------
+# Search engine
+# ---------------------------------------------------------------------------
 
-    def spent_millis(self) -> int:
-        return int((time.monotonic() - self.t0) * 1000)
+class _Propagator:
+    """State shared by both problems: one value per vertex (-1 while
+    undecided), the trail of decided vertices and the edges to re-examine.
 
-    def exhausted(self) -> bool:
-        b = self.budget
-        if b.max_nodes is not None and self.nodes >= b.max_nodes:
-            return True
-        if b.max_millis is not None and (self.nodes & 0xFF) == 0:
-            return self.spent_millis() >= b.max_millis
-        return False
+    A subclass keeps its per-edge counters and provides `assign(v, val)`
+    (False when an edge dies), `unassign(v)` (undoes `assign`, last in
+    first out), `propagate()` (decides what the pending edges force; False
+    on conflict) and `partial()` (what a budget-exhausted search reports).
+    """
+
+    def __init__(self, h: Hypergraph):
+        self.edges = h.edges
+        self.edges_of: list[list[int]] = [[] for _ in range(h.n)]
+        for ei, e in enumerate(h.edges):
+            for v in e:
+                self.edges_of[v].append(ei)
+        self.value = [-1] * h.n
+        self.trail: list[int] = []
+        self.pending: list[int] = []
+
+    def partial(self):
+        return None
+
+
+def _search(h: Hypergraph, budget: SolveBudget, prop: _Propagator, values, finish) -> SolveResult:
+    """Depth-first search over the undecided vertices in the static order,
+    trying `values` in turn for each and letting `prop` decide what every
+    branch forces. `finish()` turns a complete assignment into the
+    re-checked witness."""
+    t0 = time.monotonic()
+
+    def spent_millis() -> int:
+        return int((time.monotonic() - t0) * 1000)
+
+    n = h.n
+    order = _static_order(h)
+    value, trail, pending = prop.value, prop.trail, prop.pending
+    assign, unassign, propagate = prop.assign, prop.unassign, prop.propagate
+
+    def undo_to(mark: int) -> None:
+        pending.clear()
+        while len(trail) > mark:
+            unassign(trail.pop())
+
+    def next_pos(start: int) -> int:
+        """Position in the static order of the first undecided vertex at or
+        after start; every vertex before a branching vertex is decided."""
+        for t in range(start, n):
+            if value[order[t]] == -1:
+                return t
+        return n
+
+    pending.extend(range(len(h.edges)))
+    if not propagate():
+        return SolveResult(UNSAT, stats=SolveStats(0, 0, spent_millis()))
+    t = next_pos(0)
+    if t == n:
+        return SolveResult(SAT, finish(), SolveStats(0, 0, spent_millis()))
+    max_nodes, max_millis = budget.max_nodes, budget.max_millis
+    nodes = max_depth = 0
+    stack: list[list[int]] = [[t, 0, len(trail)]]  # (order position, value index, trail mark)
+    while stack:
+        frame = stack[-1]
+        t, vi, mark = frame
+        undo_to(mark)
+        if vi == len(values):
+            stack.pop()
+            if stack:
+                stack[-1][1] += 1
+            continue
+        if (max_nodes is not None and nodes >= max_nodes) or (
+            max_millis is not None and not nodes & 0xFF and spent_millis() >= max_millis
+        ):
+            return SolveResult(BUDGET_EXHAUSTED, stats=SolveStats(nodes, max_depth, spent_millis()),
+                               partial=prop.partial())
+        nodes += 1
+        max_depth = max(max_depth, len(stack))
+        if assign(order[t], values[vi]) and propagate():
+            w = next_pos(t + 1)
+            if w == n:
+                witness = finish()
+                return SolveResult(SAT, witness, SolveStats(nodes, max_depth, spent_millis()))
+            stack.append([w, 0, len(trail)])
+        else:
+            frame[1] += 1
+    return SolveResult(UNSAT, stats=SolveStats(nodes, max_depth, spent_millis()))
 
 
 # ---------------------------------------------------------------------------
 # Polychromatic coloring solver
 # ---------------------------------------------------------------------------
+
+class _Coloring(_Propagator):
+    """Per-edge color counts, missing-color and uncolored counters."""
+
+    def __init__(self, h: Hypergraph, k: int):
+        super().__init__(h)
+        self.count = [[0] * k for _ in h.edges]
+        self.missing = [k] * len(h.edges)
+        self.uncolored = [len(e) for e in h.edges]
+
+    def assign(self, v: int, c: int) -> bool:
+        self.value[v] = c
+        self.trail.append(v)
+        count, missing, uncolored, pending = self.count, self.missing, self.uncolored, self.pending
+        ok = True
+        for ei in self.edges_of[v]:
+            uncolored[ei] -= 1
+            cnt = count[ei]
+            cnt[c] += 1
+            if cnt[c] == 1:
+                missing[ei] -= 1
+            if missing[ei] > uncolored[ei]:
+                ok = False
+            else:
+                pending.append(ei)
+        return ok
+
+    def unassign(self, v: int) -> None:
+        c = self.value[v]
+        self.value[v] = -1
+        count, missing, uncolored = self.count, self.missing, self.uncolored
+        for ei in self.edges_of[v]:
+            uncolored[ei] += 1
+            cnt = count[ei]
+            cnt[c] -= 1
+            if not cnt[c]:
+                missing[ei] += 1
+
+    def propagate(self) -> bool:
+        value, edges, count, missing, uncolored = (
+            self.value, self.edges, self.count, self.missing, self.uncolored)
+        pending, assign = self.pending, self.assign
+        while pending:
+            ei = pending.pop()
+            if uncolored[ei] == 1 and missing[ei] == 1:
+                v = next(u for u in edges[ei] if value[u] == -1)
+                if not assign(v, count[ei].index(0)):
+                    return False
+        return True
+
 
 def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget()) -> SolveResult:
     """Exact search for a polychromatic k-coloring of h.
@@ -104,160 +240,39 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = h.n
-    clock = _Clock(budget)
-    full = (1 << k) - 1
-    edges = [tuple(e) for e in h.edges]
-    edges_of: list[list[int]] = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for v in e:
-            edges_of[v].append(ei)
     # an edge smaller than k can never see all k colors
-    if any(len(e) < k for e in edges):
-        return SolveResult(UNSAT, stats=SolveStats(0, 0, clock.spent_millis()))
+    if any(len(e) < k for e in h.edges):
+        return SolveResult(UNSAT)
+    prop = _Coloring(h, k)
 
-    color = [-1] * n
-    present = [0] * len(edges)
-    uncolored = [len(e) for e in edges]
-    order = _static_order(h)
-    rank = {v: i for i, v in enumerate(order)}
-
-    def missing_count(ei: int) -> int:
-        return k - bin(present[ei] & full).count("1")
-
-    trail: list[tuple[int, list[int]]] = []  # (vertex, edges whose mask gained a bit)
-    pending: list[int] = []  # edges touched since the last propagation
-
-    def assign(v: int, c: int) -> bool:
-        """Returns False on conflict. Records undo info on the trail."""
-        color[v] = c
-        gained = []
-        ok = True
-        bit = 1 << c
-        for ei in edges_of[v]:
-            uncolored[ei] -= 1
-            if not present[ei] & bit:
-                present[ei] |= bit
-                gained.append(ei)
-            if missing_count(ei) > uncolored[ei]:
-                ok = False
-            else:
-                pending.append(ei)
-        trail.append((v, gained))
-        return ok
-
-    def undo_to(mark: int) -> None:
-        pending.clear()
-        while len(trail) > mark:
-            v, gained = trail.pop()
-            c = color[v]
-            color[v] = -1
-            for ei in edges_of[v]:
-                uncolored[ei] += 1
-            for ei in gained:
-                present[ei] &= ~(1 << c)
-
-    def propagate() -> bool:
-        """Exhaust forced assignments on touched edges; False on conflict."""
-        while pending:
-            ei = pending.pop()
-            if uncolored[ei] == 1 and missing_count(ei) == 1:
-                e = edges[ei]
-                v = next(u for u in e if color[u] == -1)
-                c = (full & ~present[ei]).bit_length() - 1
-                if not assign(v, c):
-                    pending.clear()
-                    return False
-        return True
-
-    def next_var() -> int:
-        for v in order:
-            if color[v] == -1:
-                return v
-        return -1
-
-    # iterative DFS: stack of (vertex, next color to try, trail mark)
-    stack: list[list[int]] = []
-    pending.extend(range(len(edges)))
-    if not propagate():
-        undo_to(0)
-        return SolveResult(UNSAT, stats=SolveStats(0, 0, clock.spent_millis()))
-    v0 = next_var()
-    if v0 == -1:
-        chi = ColorAssignment(k, tuple(color))
+    def finish() -> ColorAssignment:
+        chi = ColorAssignment(k, tuple(prop.value))
         if is_polychromatic(h, chi) is not True:
             raise AssertionError("solver colouring failed its re-check")
-        return SolveResult(SAT, chi, SolveStats(0, 0, clock.spent_millis()))
-    stack.append([v0, 0, len(trail)])
-    stats = SolveStats()
-    while stack:
-        frame = stack[-1]
-        v, c, mark = frame
-        undo_to(mark)
-        if c >= k:
-            stack.pop()
-            if stack:
-                stack[-1][1] += 1
-            continue
-        if clock.exhausted():
-            undo_to(0)
-            stats.nodes = clock.nodes
-            stats.millis = clock.spent_millis()
-            return SolveResult(BUDGET_EXHAUSTED, stats=stats)
-        clock.nodes += 1
-        stats.max_depth = max(stats.max_depth, len(stack))
-        if assign(v, c) and propagate():
-            w = next_var()
-            if w == -1:
-                chi = ColorAssignment(k, tuple(cc if cc != -1 else 0 for cc in color))
-                if is_polychromatic(h, chi) is not True:
-                    raise AssertionError("solver colouring failed its re-check")
-                stats.nodes = clock.nodes
-                stats.millis = clock.spent_millis()
-                undo_to(0)
-                return SolveResult(SAT, chi, stats)
-            stack.append([w, 0, len(trail)])
-        else:
-            frame[1] += 1
-    stats.nodes = clock.nodes
-    stats.millis = clock.spent_millis()
-    return SolveResult(UNSAT, stats=stats)
+        return chi
+
+    return _search(h, budget, prop, range(k), finish)
 
 
 # ---------------------------------------------------------------------------
 # Shallow hitting set solver
 # ---------------------------------------------------------------------------
 
-def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudget()) -> SolveResult:
-    """Exact search for a vertex set U with 1 <= |e cap U| <= c per edge.
+class _Hitting(_Propagator):
+    """Per-edge (chosen, undecided) counters; a value is 0 (out) or 1 (in)."""
 
-    Per-edge counters (chosen, undecided) drive the propagation: an edge
-    with chosen == 0 and one undecided vertex forces it in; an edge with
-    chosen == c forces its undecided vertices out.
-    """
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    n = h.n
-    clock = _Clock(budget)
-    edges = [tuple(e) for e in h.edges]
-    edges_of: list[list[int]] = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for v in e:
-            edges_of[v].append(ei)
+    def __init__(self, h: Hypergraph, c: int):
+        super().__init__(h)
+        self.c = c
+        self.chosen = [0] * len(h.edges)
+        self.undecided = [len(e) for e in h.edges]
 
-    pick = [-1] * n  # -1 unknown, 0 out, 1 in
-    chosen = [0] * len(edges)
-    undecided = [len(e) for e in edges]
-    order = _static_order(h)
-
-    trail: list[int] = []
-    pending: list[int] = []  # edges that may force a vertex
-
-    def assign(v: int, val: int) -> bool:
-        pick[v] = val
-        trail.append(v)
+    def assign(self, v: int, val: int) -> bool:
+        self.value[v] = val
+        self.trail.append(v)
+        c, chosen, undecided, pending = self.c, self.chosen, self.undecided, self.pending
         ok = True
-        for ei in edges_of[v]:
+        for ei in self.edges_of[v]:
             undecided[ei] -= 1
             if val:
                 chosen[ei] += 1
@@ -270,94 +285,54 @@ def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudg
                 pending.append(ei)
         return ok
 
-    def undo_to(mark: int) -> None:
-        pending.clear()
-        while len(trail) > mark:
-            v = trail.pop()
-            val = pick[v]
-            pick[v] = -1
-            for ei in edges_of[v]:
-                undecided[ei] += 1
-                if val:
-                    chosen[ei] -= 1
+    def unassign(self, v: int) -> None:
+        val = self.value[v]
+        self.value[v] = -1
+        chosen, undecided = self.chosen, self.undecided
+        for ei in self.edges_of[v]:
+            undecided[ei] += 1
+            if val:
+                chosen[ei] -= 1
 
-    def propagate() -> bool:
+    def propagate(self) -> bool:
+        c, value, edges, chosen, undecided = self.c, self.value, self.edges, self.chosen, self.undecided
+        pending, assign = self.pending, self.assign
         while pending:
             ei = pending.pop()
             if undecided[ei] == 0:
                 continue
             if chosen[ei] == 0 and undecided[ei] == 1:
-                e = edges[ei]
-                v = next(u for u in e if pick[u] == -1)
+                v = next(u for u in edges[ei] if value[u] == -1)
                 if not assign(v, 1):
-                    pending.clear()
                     return False
             elif chosen[ei] == c:
-                e = edges[ei]
-                for u in e:
-                    if pick[u] == -1:
-                        if not assign(u, 0):
-                            pending.clear()
-                            return False
+                for u in edges[ei]:
+                    if value[u] == -1 and not assign(u, 0):
+                        return False
         return True
 
-    def next_pos(start: int) -> int:
-        """Position in the static order of the first undecided vertex at or
-        after start; every vertex before a branching vertex is decided."""
-        for t in range(start, n):
-            if pick[order[t]] == -1:
-                return t
-        return n
+    def partial(self) -> VertexSet:
+        return VertexSet.of(v for v, val in enumerate(self.value) if val == 1)
 
-    def current_set() -> VertexSet:
-        return VertexSet.of(v for v in range(n) if pick[v] == 1)
 
-    pending.extend(range(len(edges)))
-    if not propagate():
-        undo_to(0)
-        return SolveResult(UNSAT, stats=SolveStats(0, 0, clock.spent_millis()))
-    t0 = next_pos(0)
-    if t0 == n:
-        u = current_set()
+def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudget()) -> SolveResult:
+    """Exact search for a vertex set U with 1 <= |e cap U| <= c per edge.
+
+    Per-edge counters (chosen, undecided) drive the propagation: an edge
+    with chosen == 0 and one undecided vertex forces it in; an edge with
+    chosen == c forces its undecided vertices out.
+    """
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    prop = _Hitting(h, c)
+
+    def finish() -> VertexSet:
+        u = prop.partial()
         if is_shallow_hitting(h, u, c) is not True:
             raise AssertionError("solver hitting set failed its re-check")
-        return SolveResult(SAT, u, SolveStats(0, 0, clock.spent_millis()))
-    stack: list[list[int]] = [[t0, 0, len(trail)]]  # (order position, value index, trail mark)
-    values = (1, 0)  # membership tried in-first, fixed order
-    stats = SolveStats()
-    while stack:
-        frame = stack[-1]
-        t, vi, mark = frame
-        undo_to(mark)
-        if vi >= 2:
-            stack.pop()
-            if stack:
-                stack[-1][1] += 1
-            continue
-        if clock.exhausted():
-            partial = current_set()
-            undo_to(0)
-            stats.nodes = clock.nodes
-            stats.millis = clock.spent_millis()
-            return SolveResult(BUDGET_EXHAUSTED, stats=stats, partial=partial)
-        clock.nodes += 1
-        stats.max_depth = max(stats.max_depth, len(stack))
-        if assign(order[t], values[vi]) and propagate():
-            w = next_pos(t + 1)
-            if w == n:
-                u = current_set()
-                if is_shallow_hitting(h, u, c) is not True:
-                    raise AssertionError("solver hitting set failed its re-check")
-                stats.nodes = clock.nodes
-                stats.millis = clock.spent_millis()
-                undo_to(0)
-                return SolveResult(SAT, u, stats)
-            stack.append([w, 0, len(trail)])
-        else:
-            frame[1] += 1
-    stats.nodes = clock.nodes
-    stats.millis = clock.spent_millis()
-    return SolveResult(UNSAT, stats=stats)
+        return u
+
+    return _search(h, budget, prop, (1, 0), finish)  # membership tried in-first
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +524,16 @@ def capture_at_least(points: geometry.PointSet, fam: geometry.RangeFamily, m: in
 
 
 # ---------------------------------------------------------------------------
-# Campaign runner (ordered merge keeps results thread-count independent)
+# Campaign runner
 # ---------------------------------------------------------------------------
 
-def solve_many(problems, kind: str, threads: int = 1, budget: SolveBudget = SolveBudget()):
-    """Solve a batch of (hypergraph, parameter) problems; kind is "color"
-    or "hitting". Results are returned in input order regardless of the
-    worker count, so output is byte-identical for any `threads`."""
-    if kind == "color":
-        run = lambda hp: solve_polychromatic(hp[0], hp[1], budget)
-    elif kind == "hitting":
-        run = lambda hp: solve_shallow_hitting(hp[0], hp[1], budget)
-    else:
+def solve_many(problems, kind: str, budget: SolveBudget = SolveBudget()):
+    """Solve a batch of (hypergraph, parameter) problems in input order;
+    kind is "color" or "hitting"."""
+    solve = {"color": solve_polychromatic, "hitting": solve_shallow_hitting}.get(kind)
+    if solve is None:
         raise ValueError(f"unknown kind {kind!r}")
-    problems = list(problems)
-    if threads <= 1:
-        return [run(p) for p in problems]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, problems))
+    return [solve(h, p, budget) for h, p in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +568,7 @@ def probe_candidates(
                 members.add(v)
             out.append(VertexSet.of(members))
         else:
-            res = solve_shallow_hitting(
-                h, c, SolveBudget(max_nodes=50 + 37 * i, deterministic=True)
-            )
+            res = solve_shallow_hitting(h, c, SolveBudget(max_nodes=50 + 37 * i))
             if res.status == SAT:
                 out.append(res.witness)
             elif res.partial is not None:

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from polyshallow.cli import main
 
@@ -49,6 +52,20 @@ def test_budget_exhaustion_exit_code(tmp_path):
 def test_validation_error_exit_code(tmp_path):
     code = main(["capture", "--family", "nonsense", "--points", "missing.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"format": 1, "n": 3, "edges": [1, 2]},
+    {"format": 1, "n": "3", "edges": [[0, 1]]},
+    [1, 2],
+    {"format": 1, "n": 3, "edges": [[0, 1.5]]},
+], ids=["edges-not-lists", "n-not-int", "not-an-object", "vertex-not-int"])
+def test_malformed_hypergraph_exit_code(tmp_path, capsys, doc):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(doc))
+    code, out = run_cli(tmp_path, "solve-hitting", "--hypergraph", str(h), "--c", "1")
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_witness_thm3_and_thm5(tmp_path):
@@ -126,9 +143,10 @@ def test_verify_embedding_subcommand(tmp_path):
 
 
 def test_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "polyshallow.cli", "min-c", "--hypergraph", "/dev/null"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # validation error on bad input
 
 

@@ -21,6 +21,17 @@ def H(n, edges):
     return Hypergraph.from_edges(n, edges)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: H(3, [[0, 3]]),
+    lambda: H(3, [[-1, 2]]),
+    lambda: Hypergraph(3, ((0, 1, 3),)),
+    lambda: Hypergraph(3, ((-1, 0),)),
+])
+def test_vertex_out_of_range_rejected(build):
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        build()
+
+
 def test_restrict_at_least_examples():
     h = H(6, [[0, 1], [0, 1, 2], [0, 1, 2, 3, 4]])
     assert {len(e) for e in restrict_at_least(h, 3).edges} == {3, 5}

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import rand_hypergraph, rand_points_distinct
 from polyshallow.core import (
+    ColorAssignment,
     Hypergraph,
+    VertexSet,
     is_polychromatic,
     is_shallow_hitting,
     restrict_at_least,
@@ -80,12 +82,16 @@ def test_brute_force_guard():
 
 
 def test_budget_exhaustion():
-    rng = random.Random(52)
-    h = rand_hypergraph(rng, 18, 40)
-    res = solve_polychromatic(h, 3, SolveBudget(max_nodes=1))
-    assert res.status in (SAT, UNSAT, BUDGET_EXHAUSTED)
-    res2 = solve_shallow_hitting(h, 1, SolveBudget(max_nodes=1))
-    assert res2.status in (SAT, UNSAT, BUDGET_EXHAUSTED)
+    pairs = Hypergraph.from_edges(4, [[0, 1], [2, 3]])  # nothing forced at the root
+    res = solve_polychromatic(pairs, 2, SolveBudget(max_nodes=1))
+    assert (res.status, res.stats.nodes, res.partial) == (BUDGET_EXHAUSTED, 1, None)
+    res = solve_shallow_hitting(pairs, 1, SolveBudget(max_nodes=1))
+    assert (res.status, res.stats.nodes, res.partial) == (BUDGET_EXHAUSTED, 1, VertexSet((0,)))
+    # a zero time budget is spent before the first node, on every run
+    timed = SolveBudget(max_nodes=None, max_millis=0)
+    for solve, p in ((solve_polychromatic, 2), (solve_shallow_hitting, 1)):
+        res = solve(pairs, p, timed)
+        assert (res.status, res.stats.nodes) == (BUDGET_EXHAUSTED, 0)
     with pytest.raises(ValueError):
         SolveBudget(max_nodes=None, max_millis=None)
 
@@ -119,21 +125,63 @@ def test_min_m_monotone_under_edge_deletion():
         assert m2 <= m1
 
 
-def test_determinism_across_runs_and_threads():
+def test_determinism_across_runs():
     rng = random.Random(54)
     problems = []
     for _ in range(40):
         problems.append((rand_hypergraph(rng, 9, 10), rng.randint(1, 3)))
-    budget = SolveBudget(max_nodes=10**6, deterministic=True)
-    runs = {}
-    for threads in (1, 2, 8):
-        results = solve_many(problems, "color", threads=threads, budget=budget)
-        runs[threads] = [
+    budget = SolveBudget(max_nodes=10**6)
+    runs = []
+    for _ in range(3):
+        results = solve_many(problems, "color", budget=budget)
+        runs.append([
             (r.status, None if r.witness is None else tuple(r.witness.colors),
              r.stats.nodes)
             for r in results
-        ]
-    assert runs[1] == runs[2] == runs[8]
+        ])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _summary(res):
+    w = res.witness
+    if w is not None:
+        w = w.colors if isinstance(w, ColorAssignment) else w.members
+    p = None if res.partial is None else res.partial.members
+    return (res.status, res.stats.nodes, res.stats.max_depth, w, p)
+
+
+def test_search_is_pinned():
+    # Recorded from the static degree-then-index search; a change to the
+    # branching order or the propagation re-records these values.
+    expected = [
+        ("SAT", 7, 7, (1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0), None),
+        ("UNSAT", 102, 5, None, None),
+        ("SAT", 7, 5, (0, 3, 5, 8), None),
+        ("BUDGET_EXHAUSTED", 3, 2, None, (8,)),
+        ("SAT", 8, 8, (0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1), None),
+        ("SAT", 18, 6, (0, 1, 2, 0, 1, 0, 1, 2, 1, 2, 1, 2, 2, 2), None),
+        ("SAT", 9, 7, (0, 2, 3, 4, 8, 9), None),
+        ("BUDGET_EXHAUSTED", 3, 2, None, (3,)),
+        ("SAT", 10, 10, (0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0), None),
+        ("UNSAT", 57, 4, None, None),
+        ("SAT", 14, 9, (4, 5, 6, 7, 9, 10, 14), None),
+        ("BUDGET_EXHAUSTED", 3, 2, None, (9,)),
+        ("SAT", 10, 9, (1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0), None),
+        ("UNSAT", 39, 3, None, None),
+        ("SAT", 18, 4, (3, 7, 9, 11, 13), None),
+        ("BUDGET_EXHAUSTED", 3, 2, None, (1,)),
+    ]
+    rng = random.Random(60)
+    got = []
+    for _ in range(4):
+        n = rng.randint(10, 16)
+        h = Hypergraph.from_edges(n, [rng.sample(range(n), rng.randint(3, 5))
+                                      for _ in range(rng.randint(n, 2 * n))])
+        got += [_summary(solve_polychromatic(h, 2)),
+                _summary(solve_polychromatic(h, 3)),
+                _summary(solve_shallow_hitting(h, 2)),
+                _summary(solve_shallow_hitting(h, 2, SolveBudget(max_nodes=3)))]
+    assert got == expected
 
 
 def test_pipeline_strips():
