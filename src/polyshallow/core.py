@@ -7,6 +7,7 @@ never stored. All operations are pure functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Union
 
 Edge = tuple[int, ...]
@@ -31,13 +32,14 @@ class Hypergraph:
         return Hypergraph(n, tuple(sorted(canon)))
 
     def __post_init__(self):
+        # sorted and duplicate-free means strictly increasing pairwise
         for e in self.edges:
-            if list(e) != sorted(set(e)):
+            if any(map(ge, e, e[1:])):
                 raise ValueError(f"edge {e} is not sorted/deduplicated")
             # sorted, so its ends bound every vertex
             if e and (e[0] < 0 or e[-1] >= self.n):
                 raise ValueError(f"edge {e} has a vertex outside [0, {self.n})")
-        if list(self.edges) != sorted(set(self.edges)):
+        if any(map(ge, self.edges, self.edges[1:])):
             raise ValueError("edge list is not canonically sorted")
 
     @property

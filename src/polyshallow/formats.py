@@ -68,9 +68,17 @@ def points_doc(p: PointSet) -> dict:
     }
 
 
+def _coord(x) -> Fraction:
+    """A document coordinate; a value that is not one is a bad document."""
+    try:
+        return rat(x)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def points_from(doc: dict) -> PointSet:
     _check_format(doc)
-    return PointSet.of([[rat(c) for c in pt] for pt in doc["points"]], dim=doc["dim"])
+    return PointSet.of([[_coord(c) for c in pt] for pt in doc["points"]], dim=doc["dim"])
 
 
 # -- strips ------------------------------------------------------------------
@@ -86,7 +94,7 @@ def strips_doc(strips: list[Strip]) -> dict:
 
 def strips_from(doc: dict) -> list[Strip]:
     _check_format(doc)
-    return [Strip(d["axis"], rat(d["lo"]), rat(d["hi"])) for d in doc["strips"]]
+    return [Strip(d["axis"], _coord(d["lo"]), _coord(d["hi"])) for d in doc["strips"]]
 
 
 # -- AP spec -----------------------------------------------------------------
@@ -136,7 +144,7 @@ def instance_from(doc: dict) -> ConstructionInstance:
     }
     return ConstructionInstance(
         doc["kind"],
-        PointSet.of([[rat(c) for c in pt] for pt in doc["points"]], dim=doc["dim"]),
+        PointSet.of([[_coord(c) for c in pt] for pt in doc["points"]], dim=doc["dim"]),
         family,
         params,
         {k: tuple(v) for k, v in doc["groups"].items()},

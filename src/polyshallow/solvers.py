@@ -11,7 +11,14 @@ per-edge counters, decides the vertices they force and reports dead edges:
 - `_Coloring` keeps, per edge, a count of each color and the number of
   colors still missing. An edge with one missing color and one uncolored
   vertex forces that vertex to the missing color; an edge missing more
-  colors than it has uncolored vertices is dead.
+  colors than it has uncolored vertices is dead. It runs on the
+  inclusion-minimal edges only (`_minimal_edges`). That is exact and
+  leaves the search unchanged: if e is a subset of f, f is polychromatic
+  whenever e is; when f is dead, e is dead too; and when f forces a
+  vertex, e forces the same color on it or is dead. So at every node the
+  propagation reaches the same fixpoint, or a conflict, as on all edges;
+  with the branching order still taken from the degrees in the full
+  hypergraph, the status, node count, depth and witness are the same too.
 - `_Hitting` keeps, per edge, the (chosen, undecided) counters. An edge
   with nothing chosen and one undecided vertex forces it in; an edge with
   c chosen forces its undecided vertices out.
@@ -30,6 +37,7 @@ from typing import Callable, Optional
 from . import geometry
 from .core import (
     ColorAssignment,
+    Edge,
     Hypergraph,
     VertexSet,
     is_polychromatic,
@@ -77,12 +85,38 @@ class SolveResult:
         return doc
 
 
-def _static_order(h: Hypergraph) -> list[int]:
-    deg = [0] * h.n
-    for e in h.edges:
+def _static_order(degree: list[int]) -> list[int]:
+    """Vertices by decreasing degree, ties by index (the sort is stable,
+    also in reverse)."""
+    return sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
+
+
+def _minimal_edges(h: Hypergraph) -> tuple[Edge, ...]:
+    """The inclusion-minimal edges of h, smallest first; h's own edges when
+    all have one size (distinct edges of one size cannot nest).
+
+    Each kept edge is held as a bitmask under its first vertex, so a
+    candidate is tested only against the kept edges that start inside it.
+    """
+    edges = h.edges
+    if len(set(map(len, edges))) < 2:
+        return edges
+    bit = [1 << v for v in range(h.n)]
+    kept_at: list[list[int]] = [[] for _ in range(h.n)]
+    kept = []
+    for e in sorted(edges, key=len):
+        mask = sum(map(bit.__getitem__, e))
         for v in e:
-            deg[v] += 1
-    return sorted(range(h.n), key=lambda v: (-deg[v], v))
+            for f in kept_at[v]:
+                if f & mask == f:
+                    break
+            else:
+                continue
+            break  # e contains the kept edge f
+        else:
+            kept_at[e[0]].append(mask)
+            kept.append(e)
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +133,13 @@ class _Propagator:
     on conflict) and `partial()` (what a budget-exhausted search reports).
     """
 
-    def __init__(self, h: Hypergraph):
-        self.edges = h.edges
-        self.edges_of: list[list[int]] = [[] for _ in range(h.n)]
-        for ei, e in enumerate(h.edges):
+    def __init__(self, n: int, edges: tuple[Edge, ...]):
+        self.edges = edges
+        self.edges_of: list[list[int]] = [[] for _ in range(n)]
+        for ei, e in enumerate(edges):
             for v in e:
                 self.edges_of[v].append(ei)
-        self.value = [-1] * h.n
+        self.value = [-1] * n
         self.trail: list[int] = []
         self.pending: list[int] = []
 
@@ -113,18 +147,17 @@ class _Propagator:
         return None
 
 
-def _search(h: Hypergraph, budget: SolveBudget, prop: _Propagator, values, finish) -> SolveResult:
-    """Depth-first search over the undecided vertices in the static order,
-    trying `values` in turn for each and letting `prop` decide what every
-    branch forces. `finish()` turns a complete assignment into the
-    re-checked witness."""
+def _search(order: list[int], budget: SolveBudget, prop: _Propagator, values, finish) -> SolveResult:
+    """Depth-first search over the undecided vertices in the static `order`
+    of all vertices, trying `values` in turn for each and letting `prop`
+    decide what every branch forces. `finish()` turns a complete
+    assignment into the re-checked witness."""
     t0 = time.monotonic()
 
     def spent_millis() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    n = h.n
-    order = _static_order(h)
+    n = len(order)
     value, trail, pending = prop.value, prop.trail, prop.pending
     assign, unassign, propagate = prop.assign, prop.unassign, prop.propagate
 
@@ -141,7 +174,7 @@ def _search(h: Hypergraph, budget: SolveBudget, prop: _Propagator, values, finis
                 return t
         return n
 
-    pending.extend(range(len(h.edges)))
+    pending.extend(range(len(prop.edges)))
     if not propagate():
         return SolveResult(UNSAT, stats=SolveStats(0, 0, spent_millis()))
     t = next_pos(0)
@@ -184,11 +217,11 @@ def _search(h: Hypergraph, budget: SolveBudget, prop: _Propagator, values, finis
 class _Coloring(_Propagator):
     """Per-edge color counts, missing-color and uncolored counters."""
 
-    def __init__(self, h: Hypergraph, k: int):
-        super().__init__(h)
-        self.count = [[0] * k for _ in h.edges]
-        self.missing = [k] * len(h.edges)
-        self.uncolored = [len(e) for e in h.edges]
+    def __init__(self, n: int, edges: tuple[Edge, ...], k: int):
+        super().__init__(n, edges)
+        self.count = [[0] * k for _ in edges]
+        self.missing = [k] * len(edges)
+        self.uncolored = [len(e) for e in edges]
 
     def assign(self, v: int, c: int) -> bool:
         self.value[v] = c
@@ -237,13 +270,15 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
     Propagation: an edge with exactly one missing color and exactly one
     uncolored vertex forces that vertex to the missing color. Pruning: an
     edge whose missing-color count exceeds its uncolored count is dead.
+    Both run on the inclusion-minimal edges; the branching order comes
+    from the degrees in h, and the witness is re-checked against all of h.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     # an edge smaller than k can never see all k colors
-    if any(len(e) < k for e in h.edges):
+    if min(map(len, h.edges), default=k) < k:
         return SolveResult(UNSAT)
-    prop = _Coloring(h, k)
+    prop = _Coloring(h.n, _minimal_edges(h), k)
 
     def finish() -> ColorAssignment:
         chi = ColorAssignment(k, tuple(prop.value))
@@ -251,7 +286,11 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
             raise AssertionError("solver colouring failed its re-check")
         return chi
 
-    return _search(h, budget, prop, range(k), finish)
+    degree = [0] * h.n  # in h, not in the minimal edges
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    return _search(_static_order(degree), budget, prop, range(k), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +301,7 @@ class _Hitting(_Propagator):
     """Per-edge (chosen, undecided) counters; a value is 0 (out) or 1 (in)."""
 
     def __init__(self, h: Hypergraph, c: int):
-        super().__init__(h)
+        super().__init__(h.n, h.edges)
         self.c = c
         self.chosen = [0] * len(h.edges)
         self.undecided = [len(e) for e in h.edges]
@@ -332,7 +371,8 @@ def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudg
             raise AssertionError("solver hitting set failed its re-check")
         return u
 
-    return _search(h, budget, prop, (1, 0), finish)  # membership tried in-first
+    order = _static_order([len(es) for es in prop.edges_of])
+    return _search(order, budget, prop, (1, 0), finish)  # membership tried in-first
 
 
 # ---------------------------------------------------------------------------

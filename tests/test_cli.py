@@ -161,3 +161,17 @@ def test_unknown_family_is_a_validation_error(tmp_path):
     p.write_text(json.dumps({"format": 1, "dim": 2, "points": [[0, 0]]}))
     code, _ = run_cli(tmp_path, "capture", "--family", "squares", "--points", str(p))
     assert code == 2
+
+
+@pytest.mark.parametrize("name, doc, argv", [
+    ("p.json", {"format": 1, "dim": 2, "points": [[0, None], [1, 2]]},
+     ["capture", "--family", "bottomless", "--exact", "2", "--points"]),
+    ("s.json", {"format": 1, "strips": [{"axis": "x", "lo": [1], "hi": 2}]},
+     ["dual", "--strips"]),
+], ids=["null-point-coordinate", "list-strip-bound"])
+def test_non_rational_coordinate_exit_code(tmp_path, capsys, name, doc, argv):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(tmp_path, *argv, str(path))
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith("error: not an exact coordinate")

@@ -32,6 +32,21 @@ def test_vertex_out_of_range_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("edges, message", [
+    (((1, 0),), r"edge \(1, 0\) is not sorted/deduplicated"),
+    (((0, 1, 1),), r"edge \(0, 1, 1\) is not sorted/deduplicated"),
+    (((1, 2), (0, 1)), "edge list is not canonically sorted"),
+    (((0, 1), (0, 1)), "edge list is not canonically sorted"),
+], ids=["unsorted-edge", "repeated-vertex", "unsorted-edges", "duplicated-edge"])
+def test_non_canonical_edges_rejected(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Hypergraph(3, edges)
+
+
+def test_canonical_edges_accepted():
+    assert Hypergraph(3, ((), (0,), (0, 1), (0, 2), (1,))).edges[-1] == (1,)
+
+
 def test_restrict_at_least_examples():
     h = H(6, [[0, 1], [0, 1, 2], [0, 1, 2, 3, 4]])
     assert {len(e) for e in restrict_at_least(h, 3).edges} == {3, 5}

@@ -12,10 +12,12 @@ from polyshallow.core import (
     VertexSet,
     is_polychromatic,
     is_shallow_hitting,
+    is_sperner,
     restrict_at_least,
+    restrict_exact,
 )
 from polyshallow import solvers
-from polyshallow.geometry import STRIPS, capture_edges
+from polyshallow.geometry import STRIPS, PointSet, capture_edges, strip_union
 from polyshallow.solvers import (
     BUDGET_EXHAUSTED,
     SAT,
@@ -71,6 +73,42 @@ def test_agreement_with_brute_force():
         assert a.status == b.status
         if a.status == SAT:
             assert is_shallow_hitting(h, a.witness, c) is True
+
+
+def _strip_union_captures(rng, count, n_max):
+    for _ in range(count):
+        yield capture_edges(rand_points_distinct(rng, rng.randint(3, n_max), 2), strip_union(2))
+
+
+def test_minimal_edges_match_oracle():
+    rng = random.Random(63)
+    hs = [rand_hypergraph(rng, 12, 30) for _ in range(150)]
+    hs += [restrict_at_least(h, rng.randint(1, 4)) for h in _strip_union_captures(rng, 40, 10)]
+    hs += [restrict_exact(h, 3) for h in hs[:20]]
+    for h in hs:
+        kept = solvers._minimal_edges(h)
+        if len({len(e) for e in h.edges}) < 2:
+            assert kept == h.edges
+        assert len(set(kept)) == len(kept) and set(kept) <= set(h.edges)
+        assert is_sperner(Hypergraph.from_edges(h.n, kept))
+        for e in set(h.edges) - set(kept):
+            assert any(set(f) < set(e) for f in kept)
+
+
+def test_color_agrees_with_brute_force_on_nested_captures():
+    rng = random.Random(64)
+    statuses = set()
+    for h in _strip_union_captures(rng, 30, 8):
+        for k in (1, 2, 3):
+            if k == 3 and h.n > 7:
+                continue
+            hm = restrict_at_least(h, rng.randint(k, 2 * k))
+            a = solve_polychromatic(hm, k)
+            assert a.status == brute_force_polychromatic(hm, k).status
+            if a.status == SAT:
+                assert is_polychromatic(hm, a.witness) is True
+            statuses.add((k, a.status))
+    assert {(2, SAT), (2, UNSAT), (3, SAT), (3, UNSAT)} <= statuses
 
 
 def test_brute_force_guard():
@@ -181,6 +219,25 @@ def test_search_is_pinned():
                 _summary(solve_polychromatic(h, 3)),
                 _summary(solve_shallow_hitting(h, 2)),
                 _summary(solve_shallow_hitting(h, 2, SolveBudget(max_nodes=3)))]
+    # nested hypergraphs: H_{>=2k} of 2-fold strip-union captures, then
+    # (m, colouring, nodes and depth of the UNSAT search below m) of min-m
+    expected += [
+        ("UNSAT", 38, 5, None, None),
+        ("SAT", 200, 7, (2, 2, 1, 1, 0, 2, 0, 2, 0, 1), None),
+        ("SAT", 13, 5, (1, 0, 0, 1, 0, 1, 1, 0, 0, 1), None),
+        ("UNSAT", 1083, 7, None, None),
+        ("SAT", 5, 4, (0, 1, 0, 1, 0, 1, 0, 1), None),
+        ("SAT", 32, 6, (1, 2, 0, 1, 1, 2, 0, 2), None),
+        (4, (0, 1, 0, 1, 0, 1, 0, 1), 10, 3),
+    ]
+    rng = random.Random(62)
+    for _ in range(3):
+        n = rng.randint(8, 10)
+        p = PointSet.of(list(zip(rng.sample(range(40), n), rng.sample(range(40), n))))
+        h = capture_edges(p, strip_union(2))
+        got += [_summary(solve_polychromatic(restrict_at_least(h, 2 * k), k)) for k in (2, 3)]
+    rec = min_m_polychromatic(h, 2)
+    got.append((rec.m, rec.coloring.colors, rec.unsat_below.nodes, rec.unsat_below.max_depth))
     assert got == expected
 
 
