@@ -45,9 +45,6 @@ class Correspondence:
         if len(set(labels)) != len(labels) or len(set(idxs)) != len(idxs):
             raise ValueError("correspondence is not injective")
 
-    def point_of(self, label: int) -> int:
-        return dict(self.pairs)[label]
-
     def label_of(self, idx: int) -> int:
         return {b: a for a, b in self.pairs}[idx]
 

@@ -99,15 +99,6 @@ def strips_from(doc: dict) -> list[Strip]:
 
 # -- AP spec -----------------------------------------------------------------
 
-def apspec_doc(spec: APSpec) -> dict:
-    return {
-        "format": FORMAT,
-        "generator": {"kind": spec.kind, "params": list(spec.params)},
-        "M": list(spec.M),
-        "mode": spec.mode,
-    }
-
-
 def apspec_from(doc: dict) -> APSpec:
     _check_format(doc)
     g = doc["generator"]
@@ -165,10 +156,6 @@ def coloring_doc(chi: ColorAssignment) -> dict:
 def coloring_from(doc: dict) -> ColorAssignment:
     _check_format(doc)
     return ColorAssignment(doc["k"], tuple(doc["colors"]))
-
-
-def vertexset_doc(u: VertexSet) -> dict:
-    return {"format": FORMAT, "members": list(u.members)}
 
 
 def vertexset_from(doc: dict) -> VertexSet:

@@ -19,9 +19,11 @@ per-edge counters, decides the vertices they force and reports dead edges:
   propagation reaches the same fixpoint, or a conflict, as on all edges;
   with the branching order still taken from the degrees in the full
   hypergraph, the status, node count, depth and witness are the same too.
-- `_Hitting` keeps, per edge, the (chosen, undecided) counters. An edge
-  with nothing chosen and one undecided vertex forces it in; an edge with
-  c chosen forces its undecided vertices out.
+- `_Hitting` packs the chosen and undecided counts of an edge into one
+  int, `undecided + ONE * chosen` with ONE one more than the largest edge
+  size: putting a vertex in adds ONE - 1 to each of its edges, leaving it
+  out subtracts 1. An edge with nothing chosen and one undecided vertex
+  forces it in; an edge with c chosen forces its undecided vertices out.
 
 UNSAT is reported only when the search space is exhausted (pruning removes
 only provably dead branches). SAT witnesses are re-verified through the
@@ -52,7 +54,7 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Node and/or wall-clock limits; at least one must be finite."""
+    """Node and/or wall-clock limits, each >= 0; at least one is finite."""
 
     max_nodes: Optional[int] = 10**7
     max_millis: Optional[int] = None
@@ -60,6 +62,8 @@ class SolveBudget:
     def __post_init__(self):
         if self.max_nodes is None and self.max_millis is None:
             raise ValueError("at least one budget limit must be finite")
+        if min(self.max_nodes or 0, self.max_millis or 0) < 0:
+            raise ValueError("budget limits must be non-negative")
 
 
 @dataclass
@@ -298,56 +302,74 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
 # ---------------------------------------------------------------------------
 
 class _Hitting(_Propagator):
-    """Per-edge (chosen, undecided) counters; a value is 0 (out) or 1 (in)."""
+    """One packed counter per edge, `state = undecided + ONE * chosen` with
+    ONE one more than the largest edge size, so both counts can be read
+    back; a value is 0 (out) or 1 (in).
+
+    An in-assignment adds ONE - 1 to each edge of the vertex: the edge
+    dies at `state >= (c + 1) * ONE` and is queued once it holds c chosen
+    vertices and some undecided ones (`c * ONE < state < (c + 1) * ONE`).
+    An out-assignment subtracts 1: the edge dies at `state == 0` (nothing
+    chosen, nothing left) and is queued as a unit edge at `state == 1`. An
+    edge already holding c chosen is not queued again on an out-assignment;
+    it was queued when it reached c.
+    """
 
     def __init__(self, h: Hypergraph, c: int):
         super().__init__(h.n, h.edges)
-        self.c = c
-        self.chosen = [0] * len(h.edges)
-        self.undecided = [len(e) for e in h.edges]
+        one = h.max_edge_size + 1
+        self.step_in = one - 1
+        self.full = c * one  # above it: c chosen, some still undecided
+        self.over = (c + 1) * one  # from it on: more than c chosen
+        self.state = [len(e) for e in h.edges]
 
     def assign(self, v: int, val: int) -> bool:
         self.value[v] = val
         self.trail.append(v)
-        c, chosen, undecided, pending = self.c, self.chosen, self.undecided, self.pending
+        state, pending = self.state, self.pending
         ok = True
-        for ei in self.edges_of[v]:
-            undecided[ei] -= 1
-            if val:
-                chosen[ei] += 1
-                if chosen[ei] > c:
-                    ok = False
-            ch, u = chosen[ei], undecided[ei]
-            if ch == 0 and u == 0:
-                ok = False
-            elif (ch == 0 and u == 1) or (ch == c and u):
-                pending.append(ei)
+        if val:
+            step, full, over = self.step_in, self.full, self.over
+            for ei in self.edges_of[v]:
+                s = state[ei] = state[ei] + step
+                if s > full:
+                    if s < over:
+                        pending.append(ei)
+                    else:
+                        ok = False
+        else:
+            for ei in self.edges_of[v]:
+                s = state[ei] = state[ei] - 1
+                if s < 2:
+                    if s:
+                        pending.append(ei)
+                    else:
+                        ok = False
         return ok
 
     def unassign(self, v: int) -> None:
-        val = self.value[v]
+        step = -self.step_in if self.value[v] else 1
         self.value[v] = -1
-        chosen, undecided = self.chosen, self.undecided
+        state = self.state
         for ei in self.edges_of[v]:
-            undecided[ei] += 1
-            if val:
-                chosen[ei] -= 1
+            state[ei] += step
 
     def propagate(self) -> bool:
-        c, value, edges, chosen, undecided = self.c, self.value, self.edges, self.chosen, self.undecided
+        value, edges, state, full = self.value, self.edges, self.state, self.full
         pending, assign = self.pending, self.assign
         while pending:
             ei = pending.pop()
-            if undecided[ei] == 0:
-                continue
-            if chosen[ei] == 0 and undecided[ei] == 1:
+            s = state[ei]
+            if s == 1:
                 v = next(u for u in edges[ei] if value[u] == -1)
                 if not assign(v, 1):
                     return False
-            elif chosen[ei] == c:
+            elif s > full:
                 for u in edges[ei]:
                     if value[u] == -1 and not assign(u, 0):
                         return False
+            elif not s:  # an empty edge at the root; assign reports the rest
+                return False
         return True
 
     def partial(self) -> VertexSet:
@@ -357,9 +379,10 @@ class _Hitting(_Propagator):
 def solve_shallow_hitting(h: Hypergraph, c: int, budget: SolveBudget = SolveBudget()) -> SolveResult:
     """Exact search for a vertex set U with 1 <= |e cap U| <= c per edge.
 
-    Per-edge counters (chosen, undecided) drive the propagation: an edge
-    with chosen == 0 and one undecided vertex forces it in; an edge with
-    chosen == c forces its undecided vertices out.
+    Per-edge counts of chosen and undecided vertices drive the
+    propagation: an edge with nothing chosen and one undecided vertex
+    forces it in; an edge with c chosen forces its undecided vertices out.
+    An empty edge can never be hit, so h with one is UNSAT at the root.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
@@ -437,6 +460,8 @@ def min_shallow_c(h: Hypergraph, budget: SolveBudget = SolveBudget()) -> MinCRes
     witnesses c = max edge size, so the scan terminates."""
     if not h.edges:
         raise ValueError("hypergraph has no edges")
+    if not h.edges[0]:  # the empty edge sorts first
+        raise ValueError("hypergraph has an empty edge")
     last_decided = 0
     for c in range(1, h.max_edge_size + 1):
         res = solve_shallow_hitting(h, c, budget)

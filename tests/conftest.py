@@ -1,12 +1,14 @@
-"""Shared helpers: seeded random inputs and the independent capture oracle
-(exhaustive threshold search over the coordinate grid)."""
+"""Shared helpers: seeded random inputs, the independent capture oracle
+(exhaustive threshold search over the coordinate grid) and the reference
+shallow-hitting propagator with separate counters per edge."""
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
 
-from polyshallow.core import Hypergraph
+from polyshallow import solvers
+from polyshallow.core import Hypergraph, VertexSet
 from polyshallow.geometry import PointSet
 
 
@@ -120,3 +122,73 @@ def oracle_capture_sets(p: PointSet, tag: str, s: int = 1) -> set[frozenset]:
     else:
         raise ValueError(tag)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference shallow-hitting propagator: separate (chosen, undecided) counters
+# ---------------------------------------------------------------------------
+
+class CountingHitting(solvers._Propagator):
+    """Per-edge (chosen, undecided) counters; a value is 0 (out) or 1 (in).
+    The slow path that the packed `solvers._Hitting` is checked against."""
+
+    def __init__(self, h: Hypergraph, c: int):
+        super().__init__(h.n, h.edges)
+        self.c = c
+        self.chosen = [0] * len(h.edges)
+        self.undecided = [len(e) for e in h.edges]
+
+    def assign(self, v: int, val: int) -> bool:
+        self.value[v] = val
+        self.trail.append(v)
+        c, chosen, undecided, pending = self.c, self.chosen, self.undecided, self.pending
+        ok = True
+        for ei in self.edges_of[v]:
+            undecided[ei] -= 1
+            if val:
+                chosen[ei] += 1
+                if chosen[ei] > c:
+                    ok = False
+            ch, u = chosen[ei], undecided[ei]
+            if ch == 0 and u == 0:
+                ok = False
+            elif (ch == 0 and u == 1) or (ch == c and u):
+                pending.append(ei)
+        return ok
+
+    def unassign(self, v: int) -> None:
+        val = self.value[v]
+        self.value[v] = -1
+        chosen, undecided = self.chosen, self.undecided
+        for ei in self.edges_of[v]:
+            undecided[ei] += 1
+            if val:
+                chosen[ei] -= 1
+
+    def propagate(self) -> bool:
+        c, value, edges, chosen, undecided = self.c, self.value, self.edges, self.chosen, self.undecided
+        pending, assign = self.pending, self.assign
+        while pending:
+            ei = pending.pop()
+            if undecided[ei] == 0:
+                continue
+            if chosen[ei] == 0 and undecided[ei] == 1:
+                v = next(u for u in edges[ei] if value[u] == -1)
+                if not assign(v, 1):
+                    return False
+            elif chosen[ei] == c:
+                for u in edges[ei]:
+                    if value[u] == -1 and not assign(u, 0):
+                        return False
+        return True
+
+    def partial(self) -> VertexSet:
+        return VertexSet.of(v for v, val in enumerate(self.value) if val == 1)
+
+
+def reference_hitting(h: Hypergraph, c: int, budget: solvers.SolveBudget) -> solvers.SolveResult:
+    """`solve_shallow_hitting` on `CountingHitting`: the same engine, order
+    and value order, no witness re-check. h must have no empty edge."""
+    prop = CountingHitting(h, c)
+    order = solvers._static_order([len(es) for es in prop.edges_of])
+    return solvers._search(order, budget, prop, (1, 0), prop.partial)

@@ -49,6 +49,16 @@ def test_budget_exhaustion_exit_code(tmp_path):
     assert code == 3 and doc["status"] == "BUDGET_EXHAUSTED"
 
 
+@pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"), ("--budget-millis", "-3")])
+def test_negative_budget_exit_code(tmp_path, capsys, flag, value):
+    h = tmp_path / "k3.json"
+    h.write_text(json.dumps({"format": 1, "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+    code, doc = run_cli(tmp_path, "solve-hitting", "--hypergraph", str(h), "--c", "1",
+                        flag, value)
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err == "error: budget limits must be non-negative\n"
+
+
 def test_validation_error_exit_code(tmp_path):
     code = main(["capture", "--family", "nonsense", "--points", "missing.json"])
     assert code == 2

@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_hypergraph, rand_points_distinct
+from conftest import rand_hypergraph, rand_points_distinct, reference_hitting
 from polyshallow.core import (
     ColorAssignment,
     Hypergraph,
@@ -53,6 +55,13 @@ def test_hitting_examples():
     assert solve_shallow_hitting(K3_pairs(), 1).status == UNSAT
     res = solve_shallow_hitting(K3_pairs(), 2)
     assert res.status == SAT and is_shallow_hitting(K3_pairs(), res.witness, 2) is True
+    # only from_edges drops empty edges; an empty edge is never hit
+    for h in (Hypergraph(3, ((), (0, 1))), Hypergraph(1, ((),)),
+              Hypergraph(4, ((), (0,), (1, 2, 3)))):
+        for c in (1, 2):
+            res = solve_shallow_hitting(h, c)
+            assert (res.status, res.stats.nodes) == (UNSAT, 0)
+            assert brute_force_shallow(h, c).status == UNSAT
 
 
 def test_agreement_with_brute_force():
@@ -132,6 +141,10 @@ def test_budget_exhaustion():
         assert (res.status, res.stats.nodes) == (BUDGET_EXHAUSTED, 0)
     with pytest.raises(ValueError):
         SolveBudget(max_nodes=None, max_millis=None)
+    for nodes, millis in ((-5, None), (None, -3), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            SolveBudget(max_nodes=nodes, max_millis=millis)
+    SolveBudget(max_nodes=0, max_millis=0)
 
 
 def test_min_shallow_c_examples():
@@ -140,6 +153,8 @@ def test_min_shallow_c_examples():
     assert min_shallow_c(K3_pairs()).c == 2
     with pytest.raises(ValueError):
         min_shallow_c(Hypergraph.from_edges(3, []))
+    with pytest.raises(ValueError, match="empty edge"):
+        min_shallow_c(Hypergraph(3, ((), (0, 1))))
 
 
 def test_min_m_examples():
@@ -239,6 +254,46 @@ def test_search_is_pinned():
     rec = min_m_polychromatic(h, 2)
     got.append((rec.m, rec.coloring.colors, rec.unsat_below.nodes, rec.unsat_below.max_depth))
     assert got == expected
+
+
+HITTING_BUDGETS = (5, 50, 10**6)
+
+
+def _check_packed_hitting(h, c, nodes):
+    budget = SolveBudget(max_nodes=nodes)
+    got = solve_shallow_hitting(h, c, budget)
+    assert _summary(got) == _summary(reference_hitting(h, c, budget))
+    return got.status
+
+
+def test_packed_hitting_matches_reference():
+    # the packed counters reach the same fixpoints and conflicts as the
+    # (chosen, undecided) reference, so the whole search record is equal
+    rng = random.Random(66)
+    statuses = set()
+    for _ in range(600):
+        n = rng.randint(1, 16)
+        h = Hypergraph.from_edges(n, [rng.sample(range(n), rng.randint(1, min(7, n)))
+                                      for _ in range(rng.randint(1, 2 * n))])
+        c = rng.randint(1, 3)
+        for nodes in HITTING_BUDGETS:
+            statuses.add((nodes, _check_packed_hitting(h, c, nodes)))
+    assert {(5, BUDGET_EXHAUSTED), (10**6, SAT), (10**6, UNSAT)} <= statuses
+
+
+@st.composite
+def _hitting_problems(draw):
+    n = draw(st.integers(1, 14))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=7),
+                          min_size=1, max_size=2 * n))
+    return (Hypergraph.from_edges(n, edges), draw(st.integers(1, 3)),
+            draw(st.sampled_from(HITTING_BUDGETS)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_hitting_problems())
+def test_packed_hitting_matches_reference_property(problem):
+    _check_packed_hitting(*problem)
 
 
 def test_pipeline_strips():
