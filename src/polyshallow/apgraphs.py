@@ -150,35 +150,36 @@ def build_ap_hypergraph(
     s_vertices: Iterable[int], spec: APSpec
 ) -> tuple[Hypergraph, list[int], dict[tuple[int, ...], APEdgeLabel]]:
     """Hypergraph on S (sorted ascending; vertex i is labels[i]) plus a map
-    from each edge to one witnessing progression label."""
+    from each edge to one witnessing progression label.
+
+    Differences ascend, and for each the admissible starts a0 (those in
+    mu + d*N for some mu in M) ascend; an edge keeps the label of the first
+    progression that gives it, the full intersection before its prefixes.
+    Vertex indices grow with the values, so each intersection and each of
+    its prefixes is already a sorted edge."""
     svals = sorted(set(s_vertices))
     if not svals:
         raise ValueError("S must be nonempty")
     if any(v < 0 for v in svals):
         raise ValueError("S must contain naturals")
-    sset = set(svals)
     index = {v: i for i, v in enumerate(svals)}
-    cap = max(svals[-1], 1)
-    diffs = enumerate_differences(spec, cap)
+    top = svals[-1]
+    diffs = enumerate_differences(spec, max(top, 1))
     edges: dict[tuple[int, ...], APEdgeLabel] = {}
     for d in diffs:
-        for a0 in range(0, svals[-1] + 1):
-            if not a0_admissible(a0, d, spec.M):
+        starts = sorted(set().union(*(range(mu, top + 1, d) for mu in spec.M)))
+        for a0 in starts:
+            full = tuple(index[v] for v in range(a0, top + 1, d) if v in index)
+            if not full:
                 continue
-            members = [v for v in range(a0, svals[-1] + 1, d) if v in sset]
-            if not members:
-                continue
-            full = tuple(sorted(index[v] for v in members))
             if full not in edges:
                 edges[full] = APEdgeLabel(a0, d, None)
             if spec.mode == "finite":
-                for ln in range(len(members)):
-                    prefix = tuple(sorted(index[v] for v in members[: ln + 1]))
+                for ln in range(len(full)):
+                    prefix = full[: ln + 1]
                     if prefix not in edges:
-                        steps = (members[ln] - a0) // d
-                        edges[prefix] = APEdgeLabel(a0, d, steps)
-    h = Hypergraph.from_edges(len(svals), edges.keys())
-    return h, svals, edges
+                        edges[prefix] = APEdgeLabel(a0, d, (svals[full[ln]] - a0) // d)
+    return Hypergraph(len(svals), tuple(sorted(edges))), svals, edges
 
 
 def expand_label(label: APEdgeLabel, s_vertices: Iterable[int]) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
 """Finite hypergraph algebra: restrictions, induced subhypergraphs, and
 validity checks for polychromatic colorings and shallow hitting sets.
 
-Edges are stored sorted and deduplicated (set semantics); empty edges are
-never stored. All operations are pure functions on immutable values.
+Edges are stored sorted and deduplicated (set semantics). A Hypergraph
+built directly may hold the empty edge; only `Hypergraph.from_edges` drops
+empty edges, and the hitting solver and `min_shallow_c` handle them. All
+operations are pure functions on immutable values.
 """
 from __future__ import annotations
 

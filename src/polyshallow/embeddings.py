@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph
@@ -21,7 +22,7 @@ from .geometry import (
     TFIN_SLABS,
     PointSet,
     RangeFamily,
-    capture_contains,
+    first_uncaptured,
 )
 
 Frac = Fraction
@@ -45,8 +46,12 @@ class Correspondence:
         if len(set(labels)) != len(labels) or len(set(idxs)) != len(idxs):
             raise ValueError("correspondence is not injective")
 
+    @cached_property
+    def _label_at(self) -> dict[int, int]:
+        return {b: a for a, b in self.pairs}
+
     def label_of(self, idx: int) -> int:
-        return {b: a for a, b in self.pairs}[idx]
+        return self._label_at[idx]
 
 
 @dataclass(frozen=True)
@@ -407,13 +412,25 @@ def verify_edge_preservation(
 ) -> PreservationReport:
     """Check that the image of every source edge is captured by the family
     over the target points. Reports the first failing edge (canonical edge
-    order) or all-preserved."""
+    order) or all-preserved.
+
+    Source vertex v is labelled source_labels[v], and its image is the
+    point the correspondence pairs with that label. Labels may repeat, so
+    an image can have fewer points than its edge. A missing label or image
+    point raises ValueError before any edge is tested; the edges then go
+    through geometry.first_uncaptured in one call."""
+    if len(source_labels) < source.n:
+        raise ValueError(f"{len(source_labels)} labels for {source.n} source vertices")
     to_point = dict(corr.pairs)
-    for v in range(source.n):
-        if source_labels[v] not in to_point:
-            raise ValueError(f"label {source_labels[v]} has no image point")
-    for e in source.edges:
-        image = [to_point[source_labels[v]] for v in e]
-        if not capture_contains(target, fam, image):
-            return PreservationReport("failed", fam.tag, corr.direction, e)
-    return PreservationReport("all-preserved", fam.tag, corr.direction)
+    point_of = []
+    for label in source_labels[: source.n]:
+        if label not in to_point:
+            raise ValueError(f"label {label} has no image point")
+        if not 0 <= to_point[label] < len(target):
+            raise ValueError(f"label {label} maps to point {to_point[label]}, "
+                             f"outside the {len(target)} target points")
+        point_of.append(to_point[label])
+    k = first_uncaptured(target, fam, source.edges, point_of)
+    if k is None:
+        return PreservationReport("all-preserved", fam.tag, corr.direction)
+    return PreservationReport("failed", fam.tag, corr.direction, source.edges[k])

@@ -317,36 +317,49 @@ _BOXES = {
 }
 
 
+def _box_window(p: PointSet, box: list[tuple]) -> tuple[Sequence[int], int, int]:
+    """The narrowest rank window of a box, given as (ranks, lo, hi, axis)
+    per bounded axis, as (order, start, stop): every point of the box is
+    among order[start:stop]."""
+    best = None
+    for _, lo, hi, ax in box:
+        order, keys = p.orders[ax]
+        start, stop = bisect_left(keys, lo), bisect_right(keys, hi)
+        if best is None or stop - start < best[2] - best[1]:
+            best = order, start, stop
+    return best
+
+
+def _box_excludes(box: list[tuple], window: Sequence[int], allowed) -> bool:
+    """True iff no point of the window outside `allowed` lies in the box."""
+    for i in window:
+        if i not in allowed:
+            for r, lo, hi, _ in box:
+                if not lo <= r[i] <= hi:
+                    break
+            else:
+                return False
+    return True
+
+
 def _contains_box(
     p: PointSet, spec: tuple[int, ...], subset: frozenset, allowed: Optional[frozenset] = None
 ) -> bool:
     """Does the smallest box of the axis spec that holds `subset` hold no
     point outside `allowed` (default: `subset`)? A point tied with a member
     on a bounded axis cannot be excluded. Only the points inside the
-    narrowest rank window of a bounded axis are scanned."""
-    if allowed is None:
-        allowed = subset
-    box, window = [], None
+    narrowest rank window of a bounded axis are scanned, and none when the
+    window, which holds all of `subset`, holds just as many points."""
+    box = []
     for ax, kind in enumerate(spec):
-        if not kind:
-            continue
-        r = p.ranks[ax]
-        vals = [r[i] for i in subset]
-        lo = min(vals) if kind & _LO else 0
-        hi = max(vals) if kind & _UP else len(r)
-        box.append((r, lo, hi))
-        order, keys = p.orders[ax]
-        start, stop = bisect_left(keys, lo), bisect_right(keys, hi)
-        if window is None or stop - start < len(window):
-            window = order[start:stop]
-    for i in window:
-        if i not in allowed:
-            for r, lo, hi in box:
-                if not lo <= r[i] <= hi:
-                    break
-            else:
-                return False
-    return True
+        if kind:
+            r = p.ranks[ax]
+            vals = [r[i] for i in subset]
+            box.append((r, min(vals) if kind & _LO else 0,
+                        max(vals) if kind & _UP else len(r), ax))
+    order, start, stop = _box_window(p, box)
+    return stop - start == len(subset) or _box_excludes(
+        box, order[start:stop], subset if allowed is None else allowed)
 
 
 def _maximal_usable_runs(p: PointSet, subset: frozenset, axis: int) -> list[frozenset]:
@@ -426,6 +439,45 @@ def capture_contains(p: PointSet, fam: RangeFamily, subset: VertexSet | Iterable
     return any(_contains_box(p, spec, sub) for spec in boxes)
 
 
+def first_uncaptured(
+    p: PointSet, fam: RangeFamily, edges: Iterable[Sequence[int]], point_of: Sequence[int]
+) -> Optional[int]:
+    """Index of the first edge whose image {point_of[v] : v in edge} is not
+    captured (capture_contains would say False), or None if every image is.
+
+    For a single-box family the dimension check, the box spec, the range
+    check of point_of and each bounded axis's rank per vertex are done once;
+    an edge then costs its min/max ranks, the narrowest rank window and,
+    only when the window holds more points than the image, a scan of it.
+    Other families test each image with capture_contains."""
+    _check_dims(p, fam)
+    if point_of and (min(point_of) < 0 or max(point_of) >= len(p.points)):
+        raise IndexError("subset index out of range")
+    boxes = _BOXES.get(fam.tag, ())
+    if len(boxes) != 1:
+        for k, e in enumerate(edges):
+            if not capture_contains(p, fam, [point_of[v] for v in e]):
+                return k
+        return None
+    n = len(p.points)
+    # per bounded axis: the point ranks, the axis, the rank of each vertex
+    axes = [(r, ax, [r[i] for i in point_of].__getitem__, kind & _LO, kind & _UP)
+            for ax, (r, kind) in enumerate(zip(p.ranks, boxes[0])) if kind]
+    injective = len(set(point_of)) == len(point_of)
+    for k, e in enumerate(edges):
+        if not e:
+            return k
+        box = [(r, min(map(rank, e)) if lo else 0, max(map(rank, e)) if up else n, ax)
+               for r, ax, rank, lo, up in axes]
+        # the window holds the image: just as many distinct points means only them
+        count = len(e) if injective else len({point_of[v] for v in e})
+        order, start, stop = _box_window(p, box)
+        if stop - start != count and not _box_excludes(
+                box, order[start:stop], {point_of[v] for v in e}):
+            return k
+    return None
+
+
 __all__ = [
     "BOTTOMLESS",
     "CROSS_UNION",
@@ -440,6 +492,7 @@ __all__ = [
     "capture_contains",
     "capture_edges",
     "dual_strips_hypergraph",
+    "first_uncaptured",
     "rat",
     "shrink_edge",
     "strip_union",

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random inputs, the independent capture oracle
-(exhaustive threshold search over the coordinate grid) and the reference
-shallow-hitting propagator with separate counters per edge."""
+(exhaustive threshold search over the coordinate grid), the reference
+shallow-hitting propagator with separate counters per edge, and the
+reference progression builder and edge-preservation verifier."""
 from __future__ import annotations
 
 import itertools
@@ -8,8 +9,10 @@ import random
 from fractions import Fraction
 
 from polyshallow import solvers
+from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
 from polyshallow.core import Hypergraph, VertexSet
-from polyshallow.geometry import PointSet
+from polyshallow.embeddings import PreservationReport
+from polyshallow.geometry import PointSet, capture_contains
 
 
 def rand_points(rng: random.Random, n: int, dim: int, coord_range: int = 12) -> PointSet:
@@ -192,3 +195,52 @@ def reference_hitting(h: Hypergraph, c: int, budget: solvers.SolveBudget) -> sol
     prop = CountingHitting(h, c)
     order = solvers._static_order([len(es) for es in prop.edges_of])
     return solvers._search(order, budget, prop, (1, 0), prop.partial)
+
+
+# ---------------------------------------------------------------------------
+# Reference progression builder and edge-preservation verifier
+# ---------------------------------------------------------------------------
+
+def reference_build_ap_hypergraph(s_vertices, spec):
+    """`apgraphs.build_ap_hypergraph` the slow way: one admissibility test
+    per (d, a0), each intersection and prefix sorted afresh, the edges
+    canonicalised by `Hypergraph.from_edges`."""
+    svals = sorted(set(s_vertices))
+    if not svals:
+        raise ValueError("S must be nonempty")
+    if any(v < 0 for v in svals):
+        raise ValueError("S must contain naturals")
+    sset = set(svals)
+    index = {v: i for i, v in enumerate(svals)}
+    diffs = enumerate_differences(spec, max(svals[-1], 1))
+    edges = {}
+    for d in diffs:
+        for a0 in range(0, svals[-1] + 1):
+            if not a0_admissible(a0, d, spec.M):
+                continue
+            members = [v for v in range(a0, svals[-1] + 1, d) if v in sset]
+            if not members:
+                continue
+            full = tuple(sorted(index[v] for v in members))
+            if full not in edges:
+                edges[full] = APEdgeLabel(a0, d, None)
+            if spec.mode == "finite":
+                for ln in range(len(members)):
+                    prefix = tuple(sorted(index[v] for v in members[: ln + 1]))
+                    if prefix not in edges:
+                        edges[prefix] = APEdgeLabel(a0, d, (members[ln] - a0) // d)
+    return Hypergraph.from_edges(len(svals), edges.keys()), svals, edges
+
+
+def reference_verify(source, source_labels, target, fam, corr):
+    """`embeddings.verify_edge_preservation` the slow way: one full
+    `capture_contains` call per source edge."""
+    to_point = dict(corr.pairs)
+    for v in range(source.n):
+        if source_labels[v] not in to_point:
+            raise ValueError(f"label {source_labels[v]} has no image point")
+    for e in source.edges:
+        image = [to_point[source_labels[v]] for v in e]
+        if not capture_contains(target, fam, image):
+            return PreservationReport("failed", fam.tag, corr.direction, e)
+    return PreservationReport("all-preserved", fam.tag, corr.direction)

@@ -9,6 +9,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from conftest import oracle_capture_sets, rand_points, rand_points_distinct
 from polyshallow.apgraphs import APSpec, build_ap_hypergraph
 from polyshallow.constructions import (
@@ -171,6 +173,7 @@ def _uniform_strips_hypergraph(inst, m):
     return Hypergraph.from_edges(n, edges)
 
 
+@pytest.mark.slow
 def test_criterion_3_thm4_falsifier_and_solver():
     inst = build_strip_no2shs(22)
     rng = random.Random(20260103)

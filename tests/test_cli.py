@@ -185,3 +185,21 @@ def test_non_rational_coordinate_exit_code(tmp_path, capsys, name, doc, argv):
     code, out = run_cli(tmp_path, *argv, str(path))
     assert code == 2 and out is None
     assert capsys.readouterr().err.startswith("error: not an exact coordinate")
+
+
+@pytest.mark.parametrize("labels, pairs, msg", [
+    ([0, 1], [[0, 0], [1, 1], [2, 2]], "2 labels for 3 source vertices"),
+    ([0, 1, 2], [[0, 0], [1, 1], [2, 5]], "label 2 maps to point 5"),
+], ids=["short-labels", "point-out-of-range"])
+def test_verify_embedding_bad_input_exit_code(tmp_path, capsys, labels, pairs, msg):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"format": 1, "n": 3, "edges": [[0, 1], [1, 2]]}))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"format": 1, "dim": 2, "points": [[0, 0], [1, 1], [2, 2]]}))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"format": 1, "correspondence": pairs}))
+    code, out = run_cli(tmp_path, "verify-embedding", "--hypergraph", str(h),
+                        "--labels", json.dumps(labels), "--points", str(p),
+                        "--family", "bottomless", "--correspondence", str(c))
+    assert code == 2 and out is None
+    assert msg in capsys.readouterr().err

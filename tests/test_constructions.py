@@ -278,6 +278,7 @@ def row_sub_instance(inst, i):
     return Hypergraph.from_edges(len(local), edges)
 
 
+@pytest.mark.slow
 def test_thm4_row_certificate():
     # the certificate of the construction at its smallest theorem scale:
     # decided by exhausting the search, not by the node budget
