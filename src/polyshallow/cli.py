@@ -10,6 +10,7 @@ import argparse
 import json
 import random
 import sys
+from typing import Optional
 
 from . import apgraphs, embeddings, formats, geometry, solvers
 from .constructions import (
@@ -93,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = add_parser("generate", help="build a named construction")
     g.add_argument("which", choices=["thm2", "thm3", "thm4", "thm5", "thm6"])
-    g.add_argument("--m", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--s", type=int)
+    g.add_argument("--m", type=int, help="default 12 for thm2, 22 for thm4 and thm6")
+    g.add_argument("--k", type=int, default=2)
+    g.add_argument("--s", type=int, default=2)
 
     c = add_parser("capture", help="range-capture hypergraph of a point set")
     c.add_argument("--family", required=True)
@@ -117,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         "powers-bottomless", "rectangles-tfin"])
     e.add_argument("--vertices", help="JSON list or 'lo..hi'")
     e.add_argument("--points")
-    e.add_argument("--t", type=int)
-    e.add_argument("--p", type=int)
-    e.add_argument("--q", type=int)
-    e.add_argument("--p3", type=int)
+    e.add_argument("--t", type=int, default=2)
+    e.add_argument("--p", type=int, default=2)
+    e.add_argument("--q", type=int, default=3)
+    e.add_argument("--p3", type=int, default=5)
     e.add_argument("--chain", help="comma-separated divisor chain")
     e.add_argument("--M", default="0", help="comma-separated offsets")
 
@@ -167,33 +168,40 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_vertices(text: str) -> list[int]:
+def _parse_vertices(text: Optional[str]) -> list[int]:
+    """A JSON list of ints, or 'lo..hi' for lo, lo + 1, ..., hi."""
+    if text is None:
+        raise ValueError("this map needs --vertices")
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
-    return list(json.loads(text))
+    values = json.loads(text)
+    if not isinstance(values, list) or not all(map(formats._is_int, values)):
+        raise ValueError(f"--vertices is neither a JSON list of ints nor 'lo..hi': {text!r}")
+    return values
 
 
 def _cmd_generate(args) -> int:
+    m = args.m if args.m is not None else 12 if args.which == "thm2" else 22
     if args.which == "thm2":
-        inst = build_bottomless_no3shs(args.m or 12)
+        inst = build_bottomless_no3shs(m)
         _emit(formats.instance_doc(inst), args)
     elif args.which == "thm3":
-        strips, h, meta = build_dual_strip_lb(args.k or 2)
+        strips, h, meta = build_dual_strip_lb(args.k)
         doc = formats.strips_doc(strips)
         doc["hypergraph"] = formats.hypergraph_doc(h)
         doc["meta"] = {"k": meta["k"], "copies": meta["copies"],
                        "groups": {str(k): list(v) for k, v in meta["groups"].items()}}
         _emit(doc, args)
     elif args.which == "thm4":
-        inst = build_strip_no2shs(args.m or 22)
+        inst = build_strip_no2shs(m)
         _emit(formats.instance_doc(inst), args)
     elif args.which == "thm5":
-        inst = build_cross_lb(args.k or 2)
+        inst = build_cross_lb(args.k)
         _emit(formats.instance_doc(inst), args)
     else:
-        base = build_strip_no2shs(args.m or 22)
-        inst = build_sstrips_lb(args.s or 2, args.k or 2, base)
+        base = build_strip_no2shs(m)
+        inst = build_sstrips_lb(args.s, args.k, base)
         _emit(formats.instance_doc(inst), args)
     return EXIT_OK
 
@@ -221,30 +229,30 @@ def _cmd_embed(args) -> int:
     if args.map == "powers-octants":
         svals = _parse_vertices(args.vertices)
         chain = (embeddings.chain_explicit([int(x) for x in args.chain.split(",")])
-                 if args.chain else embeddings.chain_of_powers(args.t or 2))
+                 if args.chain else embeddings.chain_of_powers(args.t))
         lay = embeddings.map_powers_to_octants(svals, chain)
         doc = formats.points_doc(lay.points)
         doc["correspondence"] = [list(p) for p in lay.corr.pairs]
         _emit(doc, args)
     elif args.map == "pq-octants":
         svals = _parse_vertices(args.vertices)
-        pts, corr = embeddings.map_pq_to_octants(svals, args.p or 2, args.q or 3, ms)
+        pts, corr = embeddings.map_pq_to_octants(svals, args.p, args.q, ms)
         doc = formats.points_doc(pts)
         doc["correspondence"] = [list(p) for p in corr.pairs]
         _emit(doc, args)
     elif args.map == "octants-pq":
         pts = formats.points_from(_read(args.points))
-        corr = embeddings.map_octants_to_pq(pts, args.p or 2, args.q or 3)
+        corr = embeddings.map_octants_to_pq(pts, args.p, args.q)
         _emit({"format": formats.FORMAT,
                "correspondence": [list(p) for p in corr.pairs]}, args)
     elif args.map == "hextants-pqr":
         pts = formats.points_from(_read(args.points))
-        corr = embeddings.map_hextants_to_pqr(pts, args.p or 2, args.q or 3, args.p3 or 5)
+        corr = embeddings.map_hextants_to_pqr(pts, args.p, args.q, args.p3)
         _emit({"format": formats.FORMAT,
                "correspondence": [list(p) for p in corr.pairs]}, args)
     elif args.map == "powers-bottomless":
         svals = _parse_vertices(args.vertices)
-        pts, corr = embeddings.map_powers_to_bottomless(svals, args.t or 2, ms)
+        pts, corr = embeddings.map_powers_to_bottomless(svals, args.t, ms)
         doc = formats.points_doc(pts)
         doc["correspondence"] = [list(p) for p in corr.pairs]
         _emit(doc, args)

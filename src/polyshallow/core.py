@@ -153,9 +153,9 @@ def is_shallow_hitting(h: Hypergraph, u: VertexSet, c: int) -> CheckResult:
         raise ValueError("c must be positive")
     if u.members and (u.members[0] < 0 or u.members[-1] >= h.n):
         raise IndexError("vertex set not contained in [0, n)")
-    uset = set(u.members)
+    hit = set(u.members).intersection
     for e in h.edges:
-        hits = sum(1 for v in e if v in uset)
+        hits = len(hit(e))
         if hits == 0:
             return ViolationWitness(e, "zero-hit", 0)
         if hits > c:

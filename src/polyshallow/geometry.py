@@ -19,17 +19,21 @@ per axis the point indices sorted by (rank, index) with their ranks
 (``PointSet.orders``). Tied coordinates share a rank: they are inseparable
 (no boundary between them), which makes the strict/closed distinction
 immaterial except at ties. After that one sort per axis, no capture test
-compares a Fraction. Every operation returns canonically sorted,
-deterministic output.
+compares a Fraction. `capture_edges` enumerates on int bitmasks of point
+indices: per axis it unions the rank groups into runs, down-sets and
+up-sets, intersects (or, for the strip families, unites) them as ints, and
+turns each distinct mask into a sorted edge only at the end. Every
+operation returns canonically sorted, deterministic output.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, compress
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, VertexSet
@@ -160,57 +164,43 @@ def _check_dims(p: PointSet, fam: RangeFamily) -> None:
 # Rank-space helpers
 # ---------------------------------------------------------------------------
 
-def _rank_groups(p: PointSet, axis: int) -> list[list[int]]:
-    """Point indices grouped by rank on the axis, ascending; ascending
-    indices inside a group."""
+def _group_masks(p: PointSet, axis: int) -> list[int]:
+    """Per rank on the axis, ascending, the bitmask of the points at that
+    rank (bit i is point i)."""
     order, keys = p.orders[axis]
-    groups: list[list[int]] = []
+    groups: list[int] = []
     for i, k in zip(order, keys):
         if k == len(groups):
-            groups.append([])
-        groups[k].append(i)
+            groups.append(0)
+        groups[k] |= 1 << i
     return groups
 
 
-def _runs(p: PointSet, axis: int):
-    """All point subsets cut out by one open or closed interval on an axis:
-    contiguous runs of ranks. Yields frozensets."""
-    groups = _rank_groups(p, axis)
-    for lo in range(len(groups)):
-        cur: list[int] = []
-        for g in groups[lo:]:
-            cur = cur + g
-            yield frozenset(cur)
+def _runs(groups: list[int]) -> list[int]:
+    """Masks of the point sets cut out by one open or closed interval on an
+    axis: the unions of contiguous rank groups."""
+    return [r for lo in range(len(groups)) for r in accumulate(groups[lo:], or_)]
 
 
-def _downsets(p: PointSet, axis: int):
-    """Subsets {pt : rank on the axis <= cut} for every cut, after the
-    empty set."""
-    cur: set[int] = set()
-    yield frozenset()
-    for g in _rank_groups(p, axis):
-        cur |= set(g)
-        yield frozenset(cur)
+def _downsets(groups: list[int]) -> list[int]:
+    """Masks of the nonempty unions of a prefix of the rank groups: the
+    point sets below a cut on the axis (above it for reversed groups)."""
+    return list(accumulate(groups, or_))
 
 
-def _upsets_x(p: PointSet) -> list[frozenset]:
-    """Subsets {pt : x rank >= cut} for every cut."""
-    out = []
-    cur: set[int] = set(range(len(p.points)))
-    for g in _rank_groups(p, 0):
-        out.append(frozenset(cur))
-        cur -= set(g)
+def _meet(masks, cuts) -> set[int]:
+    """The distinct nonempty intersections of a mask with a cut."""
+    out = {a & b for a in masks for b in cuts}
+    out.discard(0)
     return out
 
 
-def _strip_captures(p: PointSet) -> list[frozenset]:
-    """All nonempty single-strip captures (both orientations), deduplicated."""
-    found = set()
-    for axis in (0, 1):
-        for s in _runs(p, axis):
-            if s:
-                found.add(s)
-    return sorted(found, key=lambda s: sorted(s))
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(mask: int, indices: range) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    return tuple(compress(indices, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,79 +214,51 @@ def capture_edges(
     at_least: Optional[int] = None,
 ) -> Hypergraph:
     """Hypergraph of all distinct nonempty subsets of p capturable by one
-    range of the family, optionally filtered by edge size."""
+    range of the family, optionally filtered by edge size.
+
+    Every point set is an int bitmask. Per axis, the runs (one interval),
+    the down-sets (one upper bound) or the up-sets (one lower bound) are
+    unions of rank groups; a range's capture is the intersection of one of
+    each bounded axis (the union of its strips for the strip families).
+    Each intersection step keeps only the distinct nonempty masks, and
+    each mask that survives the size filter becomes one sorted edge.
+    """
     _check_dims(p, fam)
     if exact is not None and at_least is not None:
         raise ValueError("give at most one of exact / at_least")
     n = len(p.points)
-    sets: set[frozenset] = set()
-
-    if fam.tag == "bottomless":
-        downs = [s for s in _downsets(p, 1) if s]
-        for run in _runs(p, 0):
-            for d in downs:
-                s = run & d
-                if s:
-                    sets.add(s)
-    elif fam.tag == "strips":
-        sets.update(_strip_captures(p))
-    elif fam.tag == "strip-union":
-        singles = _strip_captures(p)
-        sets.update(singles)
-        prev = set(map(frozenset, singles))
-        for _ in range(fam.s - 1):
-            nxt = set()
-            for u in prev:
-                for s in singles:
-                    nxt.add(u | s)
-            prev = nxt
-            sets.update(prev)
-    elif fam.tag == "cross-union":
-        vert = [s for s in _runs(p, 0) if s]
-        horiz = [s for s in _runs(p, 1) if s]
-        sets.update(vert)
-        sets.update(horiz)
-        for a in vert:
-            for b in horiz:
-                sets.add(a | b)
-    elif fam.tag == "rectangles":
-        for rx in _runs(p, 0):
-            for ry in _runs(p, 1):
-                s = rx & ry
-                if s:
-                    sets.add(s)
-    elif fam.tag in ("octants", "hextants"):
-        ups = _upsets_x(p)
-        down_axes = [list(_downsets(p, ax)) for ax in range(1, p.dim)]
-        for ux in ups:
-            for combo in itertools.product(*down_axes):
-                s = ux
-                for d in combo:
-                    s = s & d
-                    if not s:
-                        break
-                if s:
-                    sets.add(s)
-    elif fam.tag == "tfin-slabs":
-        downs_y = list(_downsets(p, 1))
-        downs_z = list(_downsets(p, 2))
-        for run in _runs(p, 0):
-            for dy in downs_y:
-                s0 = run & dy
-                if not s0:
-                    continue
-                for dz in downs_z:
-                    s = s0 & dz
-                    if s:
-                        sets.add(s)
+    groups = [_group_masks(p, ax) for ax in range(p.dim)]
+    tag = fam.tag
+    if tag == "bottomless":
+        sets = _meet(_runs(groups[0]), _downsets(groups[1]))
+    elif tag in ("strips", "strip-union"):
+        singles = set(_runs(groups[0])).union(_runs(groups[1]))
+        sets, layer = set(singles), singles
+        if tag == "strip-union":
+            for _ in range(fam.s - 1):  # the unions of up to s strips
+                layer = {u | t for u in layer for t in singles}
+                sets |= layer
+    elif tag == "cross-union":
+        vert, horiz = _runs(groups[0]), _runs(groups[1])
+        sets = {a | b for a in vert for b in horiz}
+        sets.update(vert, horiz)
+    elif tag == "rectangles":
+        sets = _meet(_runs(groups[0]), _runs(groups[1]))
+    elif tag in ("octants", "hextants"):
+        sets = set(_downsets(groups[0][::-1]))
+        for g in groups[1:]:
+            sets = _meet(sets, _downsets(g))
+    elif tag == "tfin-slabs":
+        sets = _meet(_meet(_runs(groups[0]), _downsets(groups[1])), _downsets(groups[2]))
     else:  # pragma: no cover
-        raise AssertionError(fam.tag)
+        raise AssertionError(tag)
 
     if exact is not None:
-        sets = {s for s in sets if len(s) == exact}
-    if at_least is not None:
-        sets = {s for s in sets if len(s) >= at_least}
-    return Hypergraph.from_edges(n, (tuple(sorted(s)) for s in sets))
+        sets = [s for s in sets if s.bit_count() == exact]
+    elif at_least is not None:
+        sets = [s for s in sets if s.bit_count() >= at_least]
+    indices = range(n)
+    return Hypergraph(n, tuple(sorted(_members(s, indices) for s in sets)))
 
 
 # ---------------------------------------------------------------------------

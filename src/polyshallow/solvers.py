@@ -19,6 +19,9 @@ per-edge counters, decides the vertices they force and reports dead edges:
   propagation reaches the same fixpoint, or a conflict, as on all edges;
   with the branching order still taken from the degrees in the full
   hypergraph, the status, node count, depth and witness are the same too.
+- `min_m_polychromatic` runs the same colour search (`_colour_search`)
+  on each H_>=m it tries, with the minimal edges of every level from one
+  containment pass over the whole scan.
 - `_Hitting` packs the chosen and undecided counts of an edge into one
   int, `undecided + ONE * chosen` with ONE one more than the largest edge
   size: putting a vertex in adds ONE - 1 to each of its edges, leaving it
@@ -34,6 +37,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable, Optional
 
 from . import geometry
@@ -268,6 +272,23 @@ class _Coloring(_Propagator):
         return True
 
 
+def _colour_search(n: int, edges: tuple[Edge, ...], degree: list[int], k: int,
+                   budget: SolveBudget, full: Callable[[], Hypergraph]) -> SolveResult:
+    """The colour search of `solve_polychromatic` and the min-m scan:
+    `_Coloring` on `edges`, the inclusion-minimal edges of the hypergraph
+    `full()`, branching in the order of its vertex degrees `degree`. The
+    witness is re-checked against `full()`, which is called only then."""
+    prop = _Coloring(n, edges, k)
+
+    def finish() -> ColorAssignment:
+        chi = ColorAssignment(k, tuple(prop.value))
+        if is_polychromatic(full(), chi) is not True:
+            raise AssertionError("solver colouring failed its re-check")
+        return chi
+
+    return _search(_static_order(degree), budget, prop, range(k), finish)
+
+
 def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget()) -> SolveResult:
     """Exact search for a polychromatic k-coloring of h.
 
@@ -282,19 +303,11 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
     # an edge smaller than k can never see all k colors
     if min(map(len, h.edges), default=k) < k:
         return SolveResult(UNSAT)
-    prop = _Coloring(h.n, _minimal_edges(h), k)
-
-    def finish() -> ColorAssignment:
-        chi = ColorAssignment(k, tuple(prop.value))
-        if is_polychromatic(h, chi) is not True:
-            raise AssertionError("solver colouring failed its re-check")
-        return chi
-
     degree = [0] * h.n  # in h, not in the minimal edges
     for e in h.edges:
         for v in e:
             degree[v] += 1
-    return _search(_static_order(degree), budget, prop, range(k), finish)
+    return _colour_search(h.n, _minimal_edges(h), degree, k, budget, lambda: h)
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +502,77 @@ def min_m_polychromatic(
     h: Hypergraph, k: int, budget: SolveBudget = SolveBudget(), instance_id: str = ""
 ) -> MRecord:
     """Scan m upward from 1; colorability is monotone in m (edges only
-    disappear), so the first SAT is the minimum."""
+    disappear), so the first SAT is the minimum.
+
+    Each level m runs the search of `solve_polychromatic` on H_>=m, but
+    the work per hypergraph is done once for the whole scan. The edges are
+    sorted by size once (stably, so canonically within a size), and the
+    degrees are updated as edges drop out. The minimal edges of H_>=m come
+    from one containment pass with witnesses: each edge keeps the size of
+    a known proper sub-edge, its witness (0 while none is known, -1 once
+    it is known to have none left). An edge whose witness is at least m is
+    not minimal; an edge of size m, or with witness -1, is. Any other edge
+    is looked up once with one vertex dropped (a hit makes its witness its
+    size - 1, which settles it for every later m), then tested as in
+    `_minimal_edges` against the minimal edges kept so far at this level.
+    H_>=m itself is built only at SAT, for the two re-checks of the
+    colouring.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = h.n
+    edges = sorted(h.edges, key=len)  # stable: canonical order within a size
+    bit = [1 << v for v in range(n)]
+    masks = [sum(map(bit.__getitem__, e)) for e in edges]
+    is_edge = set(masks)
+    sub_size = [0] * len(edges)  # per edge, its witness
+    degree = [0] * n
+    for e in edges:
+        for v in e:
+            degree[v] += 1
+
+    def minimal_edges(lo: int, m: int) -> tuple[Edge, ...]:
+        kept, kept_at = [], [[] for _ in range(n)]
+        for i in range(lo, len(edges)):
+            w, e = sub_size[i], edges[i]
+            if w >= m:
+                continue
+            if w >= 0 and len(e) > m:
+                mask = masks[i]
+                # the drop-one lookup: is e minus one vertex an edge?
+                if not w and not is_edge.isdisjoint(map(mask.__xor__, map(bit.__getitem__, e))):
+                    sub_size[i] = len(e) - 1
+                    continue
+                sub = next((f for v in e for f in kept_at[v] if f & mask == f), 0)
+                if sub:
+                    sub_size[i] = sub.bit_count()
+                    continue
+                sub_size[i] = -1  # none of size >= m, so none at a later level
+            kept.append(e)
+            kept_at[e[0]].append(masks[i])
+        return tuple(kept)
+
     unsat_stats: Optional[SolveStats] = None
-    m = 1
-    while True:
-        hm = restrict_at_least(h, m)
-        res = solve_polychromatic(hm, k, budget)
+    lo = 0  # edges[lo:] is H_>=m
+    for m in range(1, h.max_edge_size + 2):  # the top level has no edge: SAT
+        while lo < len(edges) and len(edges[lo]) < m:
+            for v in edges[lo]:
+                degree[v] -= 1
+            lo += 1
+        # an edge smaller than k can never see all k colors
+        if lo < len(edges) and len(edges[lo]) < k:
+            res = SolveResult(UNSAT)
+        else:
+            hm = cache(partial(restrict_at_least, h, m))
+            res = _colour_search(n, minimal_edges(lo, m), degree, k, budget, hm)
         if res.status == SAT:
-            if is_polychromatic(hm, res.witness) is not True:
+            if is_polychromatic(hm(), res.witness) is not True:
                 raise AssertionError("solver colouring failed its re-check")
             return MRecord(instance_id, k, m, res.witness, unsat_stats)
         if res.status == BUDGET_EXHAUSTED:
             return MRecord(instance_id, k, m, None, unsat_stats, status=BUDGET_EXHAUSTED)
         unsat_stats = res.stats
-        m += 1
-        if m > h.max_edge_size + 1:  # empty edge set is vacuously colorable
-            raise AssertionError("vacuous restriction must be SAT")
+    raise AssertionError("vacuous restriction must be SAT")
 
 
 # ---------------------------------------------------------------------------

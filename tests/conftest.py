@@ -1,6 +1,7 @@
-"""Shared helpers: seeded random inputs, the independent capture oracle
-(exhaustive threshold search over the coordinate grid), the reference
-shallow-hitting propagator with separate counters per edge, and the
+"""Shared helpers: the one hypothesis profile, seeded random inputs, the
+independent capture oracle (exhaustive threshold search over the
+coordinate grid), the reference shallow-hitting propagator with separate
+counters per edge, the per-m reference of the min-m scan, and the
 reference progression builder and edge-preservation verifier."""
 from __future__ import annotations
 
@@ -8,11 +9,18 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from polyshallow import solvers
 from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
-from polyshallow.core import Hypergraph, VertexSet
+from polyshallow.core import Hypergraph, VertexSet, is_polychromatic, restrict_at_least
 from polyshallow.embeddings import PreservationReport
 from polyshallow.geometry import PointSet, capture_contains
+
+# Every property test is reproducible: no random seed, no example database
+# and no deadline; a test sets only its own max_examples.
+settings.register_profile("polyshallow", derandomize=True, database=None, deadline=None)
+settings.load_profile("polyshallow")
 
 
 def rand_points(rng: random.Random, n: int, dim: int, coord_range: int = 12) -> PointSet:
@@ -195,6 +203,30 @@ def reference_hitting(h: Hypergraph, c: int, budget: solvers.SolveBudget) -> sol
     prop = CountingHitting(h, c)
     order = solvers._static_order([len(es) for es in prop.edges_of])
     return solvers._search(order, budget, prop, (1, 0), prop.partial)
+
+
+# ---------------------------------------------------------------------------
+# Reference min-m scan: one restriction and one solve per m
+# ---------------------------------------------------------------------------
+
+def reference_min_m(h: Hypergraph, k: int, budget: solvers.SolveBudget) -> solvers.MRecord:
+    """`solvers.min_m_polychromatic` the slow way: for each m from 1 up,
+    build H_>=m with `restrict_at_least` and solve it from scratch."""
+    unsat_stats = None
+    m = 1
+    while True:
+        hm = restrict_at_least(h, m)
+        res = solvers.solve_polychromatic(hm, k, budget)
+        if res.status == solvers.SAT:
+            if is_polychromatic(hm, res.witness) is not True:
+                raise AssertionError("solver colouring failed its re-check")
+            return solvers.MRecord("", k, m, res.witness, unsat_stats)
+        if res.status == solvers.BUDGET_EXHAUSTED:
+            return solvers.MRecord("", k, m, None, unsat_stats, status=solvers.BUDGET_EXHAUSTED)
+        unsat_stats = res.stats
+        m += 1
+        if m > h.max_edge_size + 1:  # empty edge set is vacuously colorable
+            raise AssertionError("vacuous restriction must be SAT")
 
 
 # ---------------------------------------------------------------------------

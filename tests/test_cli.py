@@ -203,3 +203,29 @@ def test_verify_embedding_bad_input_exit_code(tmp_path, capsys, labels, pairs, m
                         "--family", "bottomless", "--correspondence", str(c))
     assert code == 2 and out is None
     assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "thm2", "--m", "0"],
+    ["generate", "thm4", "--m", "0"],
+    ["generate", "thm5", "--k", "0"],
+    ["generate", "thm6", "--s", "0", "--k", "0"],
+    ["embed", "--map", "powers-bottomless", "--vertices", "0..10", "--t", "0"],
+    ["embed", "--map", "pq-octants", "--vertices", "0..10", "--p", "0"],
+], ids=["thm2-m", "thm4-m", "thm5-k", "thm6-s-k", "bottomless-t", "pq-octants-p"])
+def test_explicit_zero_reaches_the_library(tmp_path, capsys, argv):
+    # a zero is an invalid value, not a request for the default
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("vertices, msg", [
+    (["--vertices", "5"], "error: --vertices is neither"),
+    (["--vertices", '[1, "a"]'], "error: --vertices is neither"),
+    ([], "error: this map needs --vertices"),
+], ids=["bare-int", "non-int-member", "missing"])
+def test_malformed_vertices_exit_code(tmp_path, capsys, vertices, msg):
+    code, out = run_cli(tmp_path, "embed", "--map", "powers-bottomless", *vertices)
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith(msg)

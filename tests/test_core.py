@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshallow.core import (
     ColorAssignment,
@@ -139,6 +141,28 @@ def test_shallow_witness_validity():
             else:
                 assert hits == res.detail and hits > c
 
+
+
+def _plain_shallow_check(h, u, c):
+    """The per-edge count that `is_shallow_hitting` is checked against."""
+    for e in h.edges:
+        hits = sum(1 for v in e if v in u.members)
+        if hits == 0:
+            return ViolationWitness(e, "zero-hit", 0)
+        if hits > c:
+            return ViolationWitness(e, "overflow", hits)
+    return True
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_shallow_hitting_matches_plain_count(data):
+    n = data.draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    h = H(n, data.draw(st.lists(st.lists(vertex, min_size=1, max_size=6), max_size=8)))
+    u = VertexSet.of(data.draw(st.sets(vertex)))
+    c = data.draw(st.integers(1, 3))
+    assert is_shallow_hitting(h, u, c) == _plain_shallow_check(h, u, c)
 
 def test_sperner():
     assert is_sperner(H(3, [[0, 1], [1, 2]])) is True

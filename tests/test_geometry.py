@@ -90,6 +90,47 @@ def test_oracle_equivalence_small():
             assert got == want, (fam.tag, p.points)
 
 
+
+def _oracle_edges(p, fam, exact=None, at_least=None):
+    """The oracle's sets as canonical edges, size-filtered like capture_edges."""
+    sets = oracle_capture_sets(p, fam.tag, fam.s)
+    if exact is not None:
+        sets = {s for s in sets if len(s) == exact}
+    if at_least is not None:
+        sets = {s for s in sets if len(s) >= at_least}
+    return tuple(sorted(tuple(sorted(s)) for s in sets))
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES + [strip_union(3)], ids=lambda f: f"{f.tag}-{f.s}")
+def test_size_filters_match_oracle(fam):
+    rng = random.Random(19)
+    for trial in range(12):
+        n = rng.randint(1, 7)
+        p = (rand_points(rng, n, fam.dim, coord_range=4) if trial % 2
+             else rand_points_distinct(rng, n, fam.dim))
+        for size in range(n + 2):
+            for kw in ({"exact": size}, {"at_least": size}):
+                assert capture_edges(p, fam, **kw).edges == _oracle_edges(p, fam, **kw), (
+                    p.points, kw)
+
+
+@st.composite
+def _points_and_filter(draw, dim):
+    coords = st.tuples(*[st.integers(0, 4)] * dim)
+    pts = draw(st.lists(coords, min_size=1, max_size=7, unique=True))
+    size = draw(st.integers(0, len(pts) + 1))
+    kw = draw(st.sampled_from([{}, {"exact": size}, {"at_least": size}]))
+    return PointSet.of(pts), kw
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_capture_edges_matches_oracle_property(fam, data):
+    p, kw = data.draw(_points_and_filter(fam.dim))
+    h = capture_edges(p, fam, **kw)
+    assert h.n == len(p) and h.edges == _oracle_edges(p, fam, **kw)
+
 def test_every_edge_passes_contains():
     rng = random.Random(12)
     for fam in ALL_FAMILIES:
@@ -212,7 +253,7 @@ def _points_and_subset(draw, dim):
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_contains_matches_oracle_property(fam, data):
     p, sub = data.draw(_points_and_subset(fam.dim))

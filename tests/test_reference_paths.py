@@ -67,7 +67,7 @@ def test_build_matches_reference_seeded():
         _assert_same_build(s, _spec(kind, rng.choice, M, mode))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_build_matches_reference_property(data):
     kind = data.draw(st.sampled_from(KINDS))
@@ -114,7 +114,7 @@ def test_verify_matches_reference_seeded(fam):
     assert statuses == {"all-preserved", "failed"}
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(fam=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
 def test_verify_matches_reference_property(fam, seed):
     h, labels, p, corr = _verify_instance(random.Random(seed), fam)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_hypergraph, rand_points_distinct, reference_hitting
+from conftest import (
+    rand_hypergraph,
+    rand_points,
+    rand_points_distinct,
+    reference_hitting,
+    reference_min_m,
+)
 from polyshallow.core import (
     ColorAssignment,
     Hypergraph,
@@ -19,7 +25,15 @@ from polyshallow.core import (
     restrict_exact,
 )
 from polyshallow import solvers
-from polyshallow.geometry import STRIPS, PointSet, capture_edges, strip_union
+from polyshallow.geometry import (
+    BOTTOMLESS,
+    CROSS_UNION,
+    RECTANGLES,
+    STRIPS,
+    PointSet,
+    capture_edges,
+    strip_union,
+)
 from polyshallow.solvers import (
     BUDGET_EXHAUSTED,
     SAT,
@@ -290,11 +304,66 @@ def _hitting_problems(draw):
             draw(st.sampled_from(HITTING_BUDGETS)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_hitting_problems())
 def test_packed_hitting_matches_reference_property(problem):
     _check_packed_hitting(*problem)
 
+
+
+MIN_M_BUDGETS = (0, 3, 50, 10**6)
+
+
+def _min_m_record(rec):
+    below = rec.unsat_below
+    return (rec.status, rec.m, rec.k, rec.coloring and rec.coloring.colors,
+            below and (below.nodes, below.max_depth))
+
+
+def _check_min_m(h, k, nodes):
+    budget = SolveBudget(max_nodes=nodes)
+    got = min_m_polychromatic(h, k, budget)
+    assert _min_m_record(got) == _min_m_record(reference_min_m(h, k, budget))
+    return got.status, got.unsat_below is not None
+
+
+def test_min_m_scan_matches_reference():
+    # the one-pass scan searches the same minimal edges in the same degree
+    # order as a restriction and a fresh solve per m, so the records are equal
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        h = Hypergraph.from_edges(n, [rng.sample(range(n), rng.randint(1, n))
+                                      for _ in range(rng.randint(0, 3 * n))])
+        k = rng.randint(1, 3)
+        for nodes in MIN_M_BUDGETS:
+            seen.add((nodes, *_check_min_m(h, k, nodes)))
+    for fam in (STRIPS, strip_union(2), CROSS_UNION, BOTTOMLESS, RECTANGLES):
+        for i in range(8):
+            n = rng.randint(3, 9)
+            p = rand_points(rng, n, 2, coord_range=5) if i % 2 else rand_points_distinct(rng, n, 2)
+            h = capture_edges(p, fam)
+            for k in (2, 3):
+                for nodes in (3, 10**6):
+                    seen.add((nodes, *_check_min_m(h, k, nodes)))
+    assert {(3, BUDGET_EXHAUSTED, True), (10**6, SAT, True), (10**6, SAT, False),
+            (0, BUDGET_EXHAUSTED, False)} <= seen
+
+
+@st.composite
+def _min_m_problems(draw):
+    n = draw(st.integers(1, 10))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+                          max_size=3 * n))
+    return (Hypergraph.from_edges(n, edges), draw(st.integers(1, 3)),
+            draw(st.sampled_from(MIN_M_BUDGETS)))
+
+
+@settings(max_examples=300)
+@given(_min_m_problems())
+def test_min_m_scan_matches_reference_property(problem):
+    _check_min_m(*problem)
 
 def test_pipeline_strips():
     rng = random.Random(55)
