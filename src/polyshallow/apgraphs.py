@@ -9,7 +9,7 @@ Finite mode additionally keeps every prefix of each intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import Hypergraph
 
@@ -136,10 +136,10 @@ def a0_admissible(a0: int, d: int, M: Iterable[int]) -> bool:
     return any(mu <= a0 and (a0 - mu) % d == 0 for mu in M)
 
 
-@dataclass(frozen=True)
-class APEdgeLabel:
+class APEdgeLabel(NamedTuple):
     """Provenance of an edge: start a0, difference d, finite length in steps
-    (None marks an infinite progression)."""
+    (None marks an infinite progression). A named tuple, because a build
+    makes one per edge and a tuple is the cheapest immutable record."""
 
     a0: int
     d: int
@@ -169,7 +169,7 @@ def build_ap_hypergraph(
     for d in diffs:
         starts = sorted(set().union(*(range(mu, top + 1, d) for mu in spec.M)))
         for a0 in starts:
-            full = tuple(index[v] for v in range(a0, top + 1, d) if v in index)
+            full = tuple([index[v] for v in range(a0, top + 1, d) if v in index])
             if not full:
                 continue
             if full not in edges:

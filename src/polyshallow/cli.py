@@ -268,9 +268,18 @@ def _cmd_embed(args) -> int:
 def _cmd_verify_embedding(args) -> int:
     h = formats.hypergraph_from(_read(args.hypergraph))
     labels = json.loads(args.labels) if args.labels.startswith("[") else _read(args.labels)
+    if not isinstance(labels, list) or not all(map(formats._is_int, labels)):
+        raise ValueError("--labels must be a JSON list of ints")
     pts = formats.points_from(_read(args.points))
     fam = _family(args.family, args.s)
-    pairs = tuple((int(a), int(b)) for a, b in _read(args.correspondence)["correspondence"])
+    cdoc = _read(args.correspondence)
+    pairs = cdoc.get("correspondence") if isinstance(cdoc, dict) else None
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(formats._is_int, pair))
+        for pair in pairs
+    ):
+        raise ValueError("the correspondence must be a list of [int, int] pairs")
+    pairs = tuple(map(tuple, pairs))
     corr = embeddings.Correspondence("numbers-to-points", fam.tag, pairs)
     rep = embeddings.verify_edge_preservation(h, labels, pts, fam, corr)
     doc = {"format": formats.FORMAT, "status": rep.status, "family": rep.family,

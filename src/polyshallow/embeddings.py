@@ -22,7 +22,9 @@ from .geometry import (
     TFIN_SLABS,
     PointSet,
     RangeFamily,
+    capture_edges,
     first_uncaptured,
+    rank_cuts,
 )
 
 Frac = Fraction
@@ -232,7 +234,7 @@ def map_pq_to_octants(
             z = Frac(-1) if g2 is None else (Frac(1) if g2 == 0 else Frac(1, g2) - 1)
             pts.append((Frac(n), y, z))
     else:
-        if any(mu >= p * q for mu in ms):
+        if any(not 0 <= mu < p * q for mu in ms):
             raise ValueError("M must lie in [0, pq) for the residue-square layout")
         # residue blocks are offset by 2r (not r): each block's coordinate
         # range has width 1, so a spacing of 1 would make neighbouring
@@ -300,8 +302,6 @@ def check_corner_divisibility(
     """For every octant/hextant-captured edge, the labels must be a subset
     of the positive multiples of d = prod(base_i ^ min bounded-axis rank)."""
     fam = OCTANTS if pts.dim == 3 else HEXTANTS
-    from .geometry import capture_edges  # local import to avoid cycle noise
-
     ranks = [[1 + pts.position(ax, i) for i in range(len(pts))] for ax in range(1, pts.dim)]
     labels = {i: corr.label_of(i) for i in range(len(pts.points))}
     h = capture_edges(pts, fam)
@@ -317,22 +317,26 @@ def check_corner_divisibility(
 
 def check_tfin_prefix(pts: PointSet, corr: Correspondence) -> PreservationReport:
     """Every tfin-slab edge's labels form a prefix of the label sequence of
-    the octant edge obtained by dropping the slab's upper x bound."""
-    from .geometry import capture_edges
+    the octant edge obtained by dropping the slab's upper x bound.
 
+    The octant is the AND of the cut masks x >= the edge's least x rank,
+    y <= its greatest y rank and z <= its greatest z rank, and it holds
+    the edge. Labels are distinct (the correspondence is injective), so
+    the edge is a prefix iff the octant points labelled below the edge's
+    largest label are the other points of the edge: one popcount against
+    the mask of points with a smaller label, built once per point."""
     labels = [corr.label_of(i) for i in range(len(pts.points))]
-    h = capture_edges(pts, TFIN_SLABS)
-    xr, yr, zr = pts.ranks
-    for e in h.edges:
-        lox = min(xr[i] for i in e)
-        topy = max(yr[i] for i in e)
-        topz = max(zr[i] for i in e)
-        octant_edge = [
-            i for i in range(len(pts)) if xr[i] >= lox and yr[i] <= topy and zr[i] <= topz
-        ]
-        oct_labels = sorted(labels[i] for i in octant_edge)
-        e_labels = sorted(labels[i] for i in e)
-        if oct_labels[: len(e_labels)] != e_labels:
+    smaller = [0] * len(labels)
+    below = 0
+    for i in sorted(range(len(labels)), key=labels.__getitem__):
+        smaller[i] = below
+        below |= 1 << i
+    up_x, down_y, down_z = rank_cuts(pts, 0)[0], rank_cuts(pts, 1)[1], rank_cuts(pts, 2)[1]
+    xr, yr, zr = (r.__getitem__ for r in pts.ranks)
+    for e in capture_edges(pts, TFIN_SLABS).edges:
+        octant = (up_x[min(map(xr, e))] & down_y[max(map(yr, e))]
+                  & down_z[max(map(zr, e))])
+        if (octant & smaller[max(e, key=labels.__getitem__)]).bit_count() != len(e) - 1:
             return PreservationReport("failed", "tfin-slabs", "points-to-numbers", e)
     return PreservationReport("all-preserved", "tfin-slabs", "points-to-numbers")
 
@@ -370,7 +374,7 @@ def map_powers_to_bottomless(
             y = Frac(2) if tv == 0 else Frac(1, tv)
             pts.append((1 - Frac(1, n), y))
     else:
-        if any(mu >= t for mu in ms):
+        if any(not 0 <= mu < t for mu in ms):
             raise ValueError("M must lie in [0, t) for the residue-box layout")
         for n in svals:
             if n == 0:

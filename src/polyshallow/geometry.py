@@ -22,7 +22,12 @@ immaterial except at ties. After that one sort per axis, no capture test
 compares a Fraction. `capture_edges` enumerates on int bitmasks of point
 indices: per axis it unions the rank groups into runs, down-sets and
 up-sets, intersects (or, for the strip families, unites) them as ints, and
-turns each distinct mask into a sorted edge only at the end. Every
+turns each distinct mask into a sorted edge only at the end.
+`first_uncaptured` tests a batch of edges on the same masks: per bounded
+axis the cut masks of `rank_cuts` (the points at rank <= r, and at rank
+>= r) are built once, and an edge is captured iff the AND of its cuts holds
+no point beyond its image. `capture_contains` answers single subsets
+without whole-set masks, scanning only the narrowest rank window. Every
 operation returns canonically sorted, deterministic output.
 """
 from __future__ import annotations
@@ -31,9 +36,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, compress
-from operator import or_
+from operator import le, or_
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, VertexSet
@@ -186,6 +191,13 @@ def _downsets(groups: list[int]) -> list[int]:
     """Masks of the nonempty unions of a prefix of the rank groups: the
     point sets below a cut on the axis (above it for reversed groups)."""
     return list(accumulate(groups, or_))
+
+
+def rank_cuts(p: PointSet, axis: int) -> tuple[list[int], list[int]]:
+    """Per rank r on the axis, (up, down): up[r] is the mask of the points
+    at rank >= r, down[r] the mask of those at rank <= r."""
+    groups = _group_masks(p, axis)
+    return _downsets(groups[::-1])[::-1], _downsets(groups)
 
 
 def _meet(masks, cuts) -> set[int]:
@@ -406,12 +418,19 @@ def first_uncaptured(
 ) -> Optional[int]:
     """Index of the first edge whose image {point_of[v] : v in edge} is not
     captured (capture_contains would say False), or None if every image is.
+    Each edge lists its vertices in ascending order, as Hypergraph.edges do.
 
-    For a single-box family the dimension check, the box spec, the range
-    check of point_of and each bounded axis's rank per vertex are done once;
-    an edge then costs its min/max ranks, the narrowest rank window and,
-    only when the window holds more points than the image, a scan of it.
-    Other families test each image with capture_contains."""
+    For a single-box family the dimension check, the range check of
+    point_of and, per bounded axis, each vertex's rank and the cut masks
+    (rank_cuts) are done once. An edge's box is the AND of up[min rank] and
+    down[max rank] over its bounded axes; it holds the image, so the image
+    is captured iff the box holds nothing else: a popcount equal to the
+    edge size when point_of is injective, else the OR of the image bits.
+    Tied points share a rank, so a point tied with a member is never cut
+    off. Where the ranks of an axis never decrease along the vertices, an
+    edge's extreme ranks there are those of its first and last vertex, so
+    those cuts are ANDed per vertex once. Other families test each image
+    with capture_contains."""
     _check_dims(p, fam)
     if point_of and (min(point_of) < 0 or max(point_of) >= len(p.points)):
         raise IndexError("subset index out of range")
@@ -421,21 +440,34 @@ def first_uncaptured(
             if not capture_contains(p, fam, [point_of[v] for v in e]):
                 return k
         return None
-    n = len(p.points)
-    # per bounded axis: the point ranks, the axis, the rank of each vertex
-    axes = [(r, ax, [r[i] for i in point_of].__getitem__, kind & _LO, kind & _UP)
-            for ax, (r, kind) in enumerate(zip(p.ranks, boxes[0])) if kind]
+    # head[v] / tail[v]: the AND of the lower / upper cuts at v's ranks on
+    # the axes whose ranks never decrease along the vertices; every other
+    # cut is (rank of each vertex, masks, min or max).
+    whole = (1 << len(p.points)) - 1
+    head, tail = [whole] * len(point_of), [whole] * len(point_of)
+    cuts = []
+    for ax, kind in enumerate(boxes[0]):
+        if kind:
+            up, down = rank_cuts(p, ax)
+            r = p.ranks[ax]
+            rank = [r[i] for i in point_of]
+            ends = all(map(le, rank, rank[1:]))
+            for bound, masks, at, extreme in ((_LO, up, head, min), (_UP, down, tail, max)):
+                if kind & bound:
+                    if ends:
+                        at[:] = [m & masks[k] for m, k in zip(at, rank)]
+                    else:
+                        cuts.append((rank.__getitem__, masks, extreme))
     injective = len(set(point_of)) == len(point_of)
+    bit = [1 << i for i in point_of].__getitem__
     for k, e in enumerate(edges):
         if not e:
             return k
-        box = [(r, min(map(rank, e)) if lo else 0, max(map(rank, e)) if up else n, ax)
-               for r, ax, rank, lo, up in axes]
-        # the window holds the image: just as many distinct points means only them
-        count = len(e) if injective else len({point_of[v] for v in e})
-        order, start, stop = _box_window(p, box)
-        if stop - start != count and not _box_excludes(
-                box, order[start:stop], {point_of[v] for v in e}):
+        box = head[e[0]] & tail[e[-1]]
+        for rank, masks, extreme in cuts:
+            box &= masks[extreme(map(rank, e))]
+        if (box.bit_count() != len(e) if injective
+                else box != reduce(or_, map(bit, e))):
             return k
     return None
 
@@ -455,6 +487,7 @@ __all__ = [
     "capture_edges",
     "dual_strips_hypergraph",
     "first_uncaptured",
+    "rank_cuts",
     "rat",
     "shrink_edge",
     "strip_union",

@@ -1,8 +1,9 @@
 """Shared helpers: the one hypothesis profile, seeded random inputs, the
 independent capture oracle (exhaustive threshold search over the
 coordinate grid), the reference shallow-hitting propagator with separate
-counters per edge, the per-m reference of the min-m scan, and the
-reference progression builder and edge-preservation verifier."""
+counters per edge, the per-m reference of the min-m scan, the reference
+progression builder and edge-preservation verifier, and the reference
+tfin-slab prefix check."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +16,7 @@ from polyshallow import solvers
 from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
 from polyshallow.core import Hypergraph, VertexSet, is_polychromatic, restrict_at_least
 from polyshallow.embeddings import PreservationReport
-from polyshallow.geometry import PointSet, capture_contains
+from polyshallow.geometry import TFIN_SLABS, PointSet, capture_contains, capture_edges
 
 # Every property test is reproducible: no random seed, no example database
 # and no deadline; a test sets only its own max_examples.
@@ -276,3 +277,22 @@ def reference_verify(source, source_labels, target, fam, corr):
         if not capture_contains(target, fam, image):
             return PreservationReport("failed", fam.tag, corr.direction, e)
     return PreservationReport("all-preserved", fam.tag, corr.direction)
+
+
+def reference_tfin_prefix(pts, corr):
+    """`embeddings.check_tfin_prefix` the slow way: per tfin-slab edge, scan
+    every point for the octant edge and compare sorted label lists."""
+    labels = [corr.label_of(i) for i in range(len(pts.points))]
+    xr, yr, zr = pts.ranks
+    for e in capture_edges(pts, TFIN_SLABS).edges:
+        lox = min(xr[i] for i in e)
+        topy = max(yr[i] for i in e)
+        topz = max(zr[i] for i in e)
+        octant_edge = [
+            i for i in range(len(pts)) if xr[i] >= lox and yr[i] <= topy and zr[i] <= topz
+        ]
+        oct_labels = sorted(labels[i] for i in octant_edge)
+        e_labels = sorted(labels[i] for i in e)
+        if oct_labels[: len(e_labels)] != e_labels:
+            return PreservationReport("failed", "tfin-slabs", "points-to-numbers", e)
+    return PreservationReport("all-preserved", "tfin-slabs", "points-to-numbers")

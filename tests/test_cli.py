@@ -229,3 +229,39 @@ def test_malformed_vertices_exit_code(tmp_path, capsys, vertices, msg):
     code, out = run_cli(tmp_path, "embed", "--map", "powers-bottomless", *vertices)
     assert code == 2 and out is None
     assert capsys.readouterr().err.startswith(msg)
+
+
+@pytest.mark.parametrize("labels, in_file, pairs, msg", [
+    ([[0], 1, 2], False, [[0, 0], [1, 1], [2, 2]], "error: --labels must be a JSON list of ints"),
+    ({"0": 0, "1": 1, "2": 2}, True, [[0, 0], [1, 1], [2, 2]],
+     "error: --labels must be a JSON list of ints"),
+    ([0, 1, 2], False, [1, 2], "error: the correspondence must be a list of [int, int] pairs"),
+    ([0, 1, 2], False, [[0.5, 0], [1, 1], [2, 2]],
+     "error: the correspondence must be a list of [int, int] pairs"),
+], ids=["nested-label", "labels-object", "bare-int-pairs", "fractional-label"])
+def test_verify_embedding_malformed_documents_exit_code(tmp_path, capsys, labels, in_file,
+                                                         pairs, msg):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"format": 1, "n": 3, "edges": [[0, 1], [1, 2]]}))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"format": 1, "dim": 2, "points": [[0, 0], [1, 1], [2, 2]]}))
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"format": 1, "correspondence": pairs}))
+    lab = tmp_path / "labels.json"
+    lab.write_text(json.dumps(labels))
+    code, out = run_cli(tmp_path, "verify-embedding", "--hypergraph", str(h),
+                        "--labels", str(lab) if in_file else json.dumps(labels),
+                        "--points", str(p), "--family", "bottomless",
+                        "--correspondence", str(c))
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith(msg)
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["--map", "powers-bottomless", "--M", "0,-1"], "error: M must lie in [0, t)"),
+    (["--map", "pq-octants", "--M", "0,-1"], "error: M must lie in [0, pq)"),
+], ids=["bottomless", "pq-octants"])
+def test_negative_offset_exit_code(tmp_path, capsys, argv, msg):
+    code, out = run_cli(tmp_path, "embed", "--vertices", "0..5", *argv)
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith(msg)

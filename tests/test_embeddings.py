@@ -117,6 +117,10 @@ def test_pq_map_validation():
         map_pq_to_octants([1], 2, 3, [0, 6])  # duplicate residues mod 6
     with pytest.raises(ValueError):
         map_pq_to_octants([1], 2, 3, [0, 7])  # outside [0, pq)
+    with pytest.raises(ValueError, match=r"M must lie in \[0, pq\)"):
+        map_pq_to_octants([1], 2, 3, [0, -1])  # negative offset
+    with pytest.raises(ValueError, match=r"M must lie in \[0, t\)"):
+        map_powers_to_bottomless([1], 2, [0, -1])
 
 
 def test_gamma_examples():
