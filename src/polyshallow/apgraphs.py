@@ -155,8 +155,10 @@ def build_ap_hypergraph(
     Differences ascend, and for each the admissible starts a0 (those in
     mu + d*N for some mu in M) ascend; an edge keeps the label of the first
     progression that gives it, the full intersection before its prefixes.
-    Vertex indices grow with the values, so each intersection and each of
-    its prefixes is already a sorted edge."""
+    The starts of one residue class mod d are those from its least offset
+    on, so there is one range per class. Vertex indices grow with the
+    values, so each intersection and each of its prefixes is already a
+    sorted edge."""
     svals = sorted(set(s_vertices))
     if not svals:
         raise ValueError("S must be nonempty")
@@ -166,8 +168,10 @@ def build_ap_hypergraph(
     top = svals[-1]
     diffs = enumerate_differences(spec, max(top, 1))
     edges: dict[tuple[int, ...], APEdgeLabel] = {}
+    ms_down = sorted(spec.M, reverse=True)
     for d in diffs:
-        starts = sorted(set().union(*(range(mu, top + 1, d) for mu in spec.M)))
+        least = {mu % d: mu for mu in ms_down}  # the last write is the least
+        starts = sorted(a0 for mu in least.values() for a0 in range(mu, top + 1, d))
         for a0 in starts:
             full = tuple([index[v] for v in range(a0, top + 1, d) if v in index])
             if not full:

@@ -7,6 +7,12 @@ other coordinates bounded above (y <= y0, ...). The valuation maps
 therefore emit images whose y/z coordinates are the negatives of the
 textbook 1 - 1/g form (1/g - 1, sentinel +1 for zero valuation), which is
 the reflection-equivalent layout for this orientation.
+
+The three forward maps compute on ints and build each coordinate as one
+exact Fraction from its final numerator and denominator: the squares
+recursion keeps every corner as an int over its square's side 2^-shift,
+and the valuation maps write 1/g - 1 as (1 - g)/g and 1 - 1/n as
+(n - 1)/n.
 """
 from __future__ import annotations
 
@@ -69,7 +75,9 @@ class PreservationReport:
 
 
 def valuation(n: int, p: int) -> Optional[int]:
-    """Exponent of p in n; None encodes infinity (n == 0)."""
+    """Exponent of p in n; None encodes infinity (n == 0). Needs p >= 2."""
+    if p < 2:
+        raise ValueError(f"valuation base must be >= 2, got {p}")
     if n == 0:
         return None
     v = 0
@@ -101,27 +109,33 @@ class _Chain:
             d *= self.extend_base
         return d
 
-    def top_position(self, n: int) -> int:
-        """Largest i with d_i <= n (n >= 1)."""
-        i = 0
-        while True:
-            try:
-                nxt = self.divisor(i + 1)
-            except IndexError:
-                return min(i, len(self.divisors) - 1)
-            if nxt > n:
-                return i
-            i += 1
+    def divisors_upto(self, n: int) -> list[int]:
+        """The divisors d_i <= n, ascending; a finite chain stops at its end."""
+        out = []
+        for d in self.divisors:
+            if d > n:
+                return out
+            out.append(d)
+        if self.extend_base is not None:
+            d = out[-1] * self.extend_base
+            while d <= n:
+                out.append(d)
+                d *= self.extend_base
+        return out
 
     def digits(self, n: int) -> list[tuple[int, int]]:
-        """Nonzero digits of n in the chain basis, ascending position."""
+        """Nonzero digits of n in the chain basis, ascending position.
+
+        Greedy from the top on int arithmetic over divisors_upto(n): the
+        rest after digit i is below d_i, so one downward pass over the
+        positions reads every digit (the last digit of a finite chain takes
+        whatever is left)."""
         out = []
-        while n > 0:
-            i = self.top_position(n)
-            d = self.divisor(i)
-            c = n // d
-            out.append((i, c))
-            n -= c * d
+        ds = self.divisors_upto(n)
+        for i in range(len(ds) - 1, -1, -1):
+            c, n = divmod(n, ds[i])
+            if c:
+                out.append((i, c))
         out.reverse()
         return out
 
@@ -162,33 +176,37 @@ def map_powers_to_octants(s_vertices: Iterable[int], chain: _Chain) -> SquareLay
     diagonal ordered by digit position then digit value, with pairwise
     disjoint y-ranges (increasing) and z-ranges (decreasing); each number's
     point sits at the southwest corner of its square.
+
+    The r-th child of a square with side 2^-s has side 2^-(s+r+2), its west
+    edge at y_west + 2^-s - 2^-(s+r) and its south edge at
+    z_south + 2^-(s+r) - 2^-(s+r+2). So the walk keeps each corner as an
+    int over the square's own 2^-shift, and boxes gets exact Fractions,
+    inserted in pre-order (children in the diagonal order).
     """
     svals = sorted(set(s_vertices))
     if any(v < 0 for v in svals):
         raise ValueError("S must contain naturals")
+    ds = chain.divisors_upto(max(svals, default=0))
     # tree: every prefix (ancestor) of every member, rooted at 0
     children: dict[int, set[tuple[int, int, int]]] = {0: set()}
     for n in svals:
-        digs = chain.digits(n)
         acc = 0
-        for pos, val in digs:
+        for pos, val in chain.digits(n):
             parent = acc
-            acc += val * chain.divisor(pos)
+            acc += val * ds[pos]
             children.setdefault(parent, set()).add((pos, val, acc))
             children.setdefault(acc, set())
 
     boxes: dict[int, tuple[Frac, Frac, Frac]] = {}
-
-    def place(node: int, yw: Frac, zs: Frac, side: Frac) -> None:
-        boxes[node] = (yw, zs, side)
-        kids = sorted(children.get(node, ()))
-        for r, (_, _, kid) in enumerate(kids, start=1):
-            kside = side / (2 ** (r + 2))
-            kyw = yw + side * (1 - Frac(1, 2**r))
-            kzs = zs + side * Frac(1, 2**r) - kside
-            place(kid, kyw, kzs, kside)
-
-    place(0, Frac(0), Frac(0), Frac(1))
+    stack = [(0, 0, 0, 0)]  # node, shift, y_west * 2^shift, z_south * 2^shift
+    while stack:
+        node, shift, y, z = stack.pop()
+        den = 1 << shift
+        boxes[node] = (Frac(y, den), Frac(z, den), Frac(1, den))
+        kids = sorted(children[node])
+        for r in range(len(kids), 0, -1):  # pushed last to first: popped in order
+            stack.append((kids[r - 1][2], shift + r + 2,
+                          ((y << r) + (1 << r) - 1) << 2, (z << (r + 2)) + 3))
     pts = []
     pairs = []
     for i, n in enumerate(svals):
@@ -230,21 +248,22 @@ def map_pq_to_octants(
     if ms == [0]:
         for n in svals:
             g1, g2 = valuation(n, p), valuation(n, q)
-            y = Frac(-1) if g1 is None else (Frac(1) if g1 == 0 else Frac(1, g1) - 1)
-            z = Frac(-1) if g2 is None else (Frac(1) if g2 == 0 else Frac(1, g2) - 1)
+            y = Frac(-1) if g1 is None else (Frac(1) if g1 == 0 else Frac(1 - g1, g1))
+            z = Frac(-1) if g2 is None else (Frac(1) if g2 == 0 else Frac(1 - g2, g2))
             pts.append((Frac(n), y, z))
     else:
         if any(not 0 <= mu < p * q for mu in ms):
             raise ValueError("M must lie in [0, pq) for the residue-square layout")
         # residue blocks are offset by 2r (not r): each block's coordinate
         # range has width 1, so a spacing of 1 would make neighbouring
-        # blocks touch and leak across closed octant boundaries
+        # blocks touch and leak across closed octant boundaries; base is a
+        # multiple of pq, so g1 and g2 are None (base 0) or >= 1
         for n in svals:
             r = n % (p * q)
             base = n - r
             g1, g2 = valuation(base, p), valuation(base, q)
-            y = (Frac(-1) if g1 is None else Frac(1, g1) - 1) - 2 * r
-            z = (Frac(-1) if g2 is None else Frac(1, g2) - 1) + 2 * r
+            y = Frac(-1 - 2 * r) if g1 is None else Frac(1 - g1 - 2 * r * g1, g1)
+            z = Frac(2 * r - 1) if g2 is None else Frac(1 - g2 + 2 * r * g2, g2)
             pts.append((Frac(n), y, z))
     pairs = tuple((n, i) for i, n in enumerate(svals))
     return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "octants", pairs)
@@ -372,7 +391,7 @@ def map_powers_to_bottomless(
                 continue
             tv = valuation(n, t)
             y = Frac(2) if tv == 0 else Frac(1, tv)
-            pts.append((1 - Frac(1, n), y))
+            pts.append((Frac(n - 1, n), y))
     else:
         if any(not 0 <= mu < t for mu in ms):
             raise ValueError("M must lie in [0, t) for the residue-box layout")
@@ -384,7 +403,7 @@ def map_powers_to_bottomless(
             base = n - r
             tv = valuation(base, t)  # None only when n == r
             y = Frac(0) if tv is None else Frac(1, tv)
-            pts.append((2 * r + 1 - Frac(1, n), y))
+            pts.append((Frac((2 * r + 1) * n - 1, n), y))
     pairs = tuple((n, i) for i, n in enumerate(svals))
     return PointSet.of(pts, dim=2), Correspondence("numbers-to-points", "bottomless", pairs)
 

@@ -2,11 +2,13 @@
 independent capture oracle (exhaustive threshold search over the
 coordinate grid), the reference shallow-hitting propagator with separate
 counters per edge, the per-m reference of the min-m scan, the reference
-progression builder and edge-preservation verifier, and the reference
-tfin-slab prefix check."""
+progression builder and edge-preservation verifier, the reference
+tfin-slab prefix check, and the Fraction-arithmetic references of the
+three forward embedding maps and of the chain digit walk."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +17,12 @@ from hypothesis import settings
 from polyshallow import solvers
 from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
 from polyshallow.core import Hypergraph, VertexSet, is_polychromatic, restrict_at_least
-from polyshallow.embeddings import PreservationReport
+from polyshallow.embeddings import (
+    Correspondence,
+    PreservationReport,
+    SquareLayout,
+    valuation,
+)
 from polyshallow.geometry import TFIN_SLABS, PointSet, capture_contains, capture_edges
 
 # Every property test is reproducible: no random seed, no example database
@@ -296,3 +303,141 @@ def reference_tfin_prefix(pts, corr):
         if oct_labels[: len(e_labels)] != e_labels:
             return PreservationReport("failed", "tfin-slabs", "points-to-numbers", e)
     return PreservationReport("all-preserved", "tfin-slabs", "points-to-numbers")
+
+
+# ---------------------------------------------------------------------------
+# Reference forward maps: Fraction arithmetic throughout
+# ---------------------------------------------------------------------------
+
+def reference_chain_digits(chain, n):
+    """`_Chain.digits` the slow way: greedy from the top, each step looking
+    up the largest position whose divisor is <= the rest from position 0."""
+
+    def top_position(n):
+        i = 0
+        while True:
+            try:
+                nxt = chain.divisor(i + 1)
+            except IndexError:
+                return min(i, len(chain.divisors) - 1)
+            if nxt > n:
+                return i
+            i += 1
+
+    out = []
+    while n > 0:
+        i = top_position(n)
+        d = chain.divisor(i)
+        c = n // d
+        out.append((i, c))
+        n -= c * d
+    out.reverse()
+    return out
+
+
+def reference_map_powers_to_octants(s_vertices, chain):
+    """`embeddings.map_powers_to_octants` the slow way: every square placed
+    recursively with Fraction adds, multiplies and divides."""
+    svals = sorted(set(s_vertices))
+    if any(v < 0 for v in svals):
+        raise ValueError("S must contain naturals")
+    children = {0: set()}
+    for n in svals:
+        acc = 0
+        for pos, val in reference_chain_digits(chain, n):
+            parent = acc
+            acc += val * chain.divisor(pos)
+            children.setdefault(parent, set()).add((pos, val, acc))
+            children.setdefault(acc, set())
+
+    boxes = {}
+
+    def place(node, yw, zs, side):
+        boxes[node] = (yw, zs, side)
+        kids = sorted(children.get(node, ()))
+        for r, (_, _, kid) in enumerate(kids, start=1):
+            kside = side / (2 ** (r + 2))
+            kyw = yw + side * (1 - Fraction(1, 2**r))
+            kzs = zs + side * Fraction(1, 2**r) - kside
+            place(kid, kyw, kzs, kside)
+
+    place(0, Fraction(0), Fraction(0), Fraction(1))
+    pts = []
+    pairs = []
+    for i, n in enumerate(svals):
+        yw, zs, _ = boxes[n]
+        pts.append((Fraction(n), yw, zs))
+        pairs.append((n, i))
+    return SquareLayout(
+        PointSet.of(pts, dim=3),
+        Correspondence("numbers-to-points", "octants", tuple(pairs)),
+        boxes,
+    )
+
+
+def reference_map_pq_to_octants(s_vertices, p, q, M):
+    """`embeddings.map_pq_to_octants` the slow way: each coordinate built
+    by Fraction subtraction and addition. Checks as the fast map does."""
+    if p < 2 or q < 2 or math.gcd(p, q) != 1:
+        raise ValueError("p, q must be coprime and >= 2")
+    ms = sorted(set(M))
+    if len({mu % (p * q) for mu in ms}) != len(ms):
+        raise ValueError("duplicate residues in M")
+    svals = sorted(set(s_vertices))
+    if any(v < 0 for v in svals):
+        raise ValueError("S must contain naturals")
+    pts = []
+    if ms == [0]:
+        for n in svals:
+            g1, g2 = valuation(n, p), valuation(n, q)
+            y = Fraction(-1) if g1 is None else (Fraction(1) if g1 == 0 else Fraction(1, g1) - 1)
+            z = Fraction(-1) if g2 is None else (Fraction(1) if g2 == 0 else Fraction(1, g2) - 1)
+            pts.append((Fraction(n), y, z))
+    else:
+        if any(not 0 <= mu < p * q for mu in ms):
+            raise ValueError("M must lie in [0, pq) for the residue-square layout")
+        for n in svals:
+            r = n % (p * q)
+            base = n - r
+            g1, g2 = valuation(base, p), valuation(base, q)
+            y = (Fraction(-1) if g1 is None else Fraction(1, g1) - 1) - 2 * r
+            z = (Fraction(-1) if g2 is None else Fraction(1, g2) - 1) + 2 * r
+            pts.append((Fraction(n), y, z))
+    pairs = tuple((n, i) for i, n in enumerate(svals))
+    return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "octants", pairs)
+
+
+def reference_map_powers_to_bottomless(s_vertices, t, M):
+    """`embeddings.map_powers_to_bottomless` the slow way: x built as
+    1 - 1/n (plus 2r) by Fraction subtraction. Checks as the fast map does."""
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    ms = sorted(set(M))
+    if len({mu % t for mu in ms}) != len(ms):
+        raise ValueError("duplicate residues in M")
+    svals = sorted(set(s_vertices))
+    if any(v < 0 for v in svals):
+        raise ValueError("S must contain naturals")
+    pts = []
+    if ms == [0]:
+        for n in svals:
+            if n == 0:
+                pts.append((Fraction(-1), Fraction(0)))
+                continue
+            tv = valuation(n, t)
+            y = Fraction(2) if tv == 0 else Fraction(1, tv)
+            pts.append((1 - Fraction(1, n), y))
+    else:
+        if any(not 0 <= mu < t for mu in ms):
+            raise ValueError("M must lie in [0, t) for the residue-box layout")
+        for n in svals:
+            if n == 0:
+                pts.append((Fraction(0), Fraction(0)))
+                continue
+            r = n % t
+            base = n - r
+            tv = valuation(base, t)
+            y = Fraction(0) if tv is None else Fraction(1, tv)
+            pts.append((2 * r + 1 - Fraction(1, n), y))
+    pairs = tuple((n, i) for i, n in enumerate(svals))
+    return PointSet.of(pts, dim=2), Correspondence("numbers-to-points", "bottomless", pairs)

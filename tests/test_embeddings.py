@@ -37,6 +37,9 @@ def ap_edges(svals, spec):
 def test_valuation():
     assert valuation(12, 2) == 2 and valuation(12, 3) == 1 and valuation(5, 2) == 0
     assert valuation(0, 2) is None
+    for p in (1, 0):  # p = 1 divides everything: no finite exponent
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            valuation(12, p)
 
 
 def test_squares_recursion_preserves_small():

@@ -1,8 +1,10 @@
-"""The progression builder, the edge-preservation verifier and the
-tfin-slab prefix check against the slow reference implementations in
-conftest: the same hypergraph, labels and edge-label map (in insertion
-order), and the same reports. Also the corner-divisibility check on
-labellings that break it."""
+"""The progression builder, the edge-preservation verifier, the tfin-slab
+prefix check and the three forward embedding maps against the slow
+reference implementations in conftest: the same hypergraph, labels and
+edge-label map (in insertion order), the same reports, and the same
+points, boxes, correspondence and chain digits (the CLI documents byte
+for byte). Also the corner-divisibility check on labellings that break
+it."""
 import random
 
 import pytest
@@ -12,17 +14,28 @@ from hypothesis import strategies as st
 from conftest import (
     rand_points,
     reference_build_ap_hypergraph,
+    reference_chain_digits,
+    reference_map_powers_to_bottomless,
+    reference_map_powers_to_octants,
+    reference_map_pq_to_octants,
     reference_tfin_prefix,
     reference_verify,
 )
+from polyshallow import formats
 from polyshallow.apgraphs import APSpec, build_ap_hypergraph
+from polyshallow.cli import main
 from polyshallow.core import Hypergraph
 from polyshallow.embeddings import (
     Correspondence,
+    chain_explicit,
+    chain_of_powers,
     check_corner_divisibility,
     check_tfin_prefix,
     map_hextants_to_pqr,
     map_octants_to_pq,
+    map_powers_to_bottomless,
+    map_powers_to_octants,
+    map_pq_to_octants,
     verify_edge_preservation,
 )
 from polyshallow.geometry import (
@@ -230,3 +243,124 @@ def test_corner_divisibility_fails_on_shuffled_labels(dim, bases):
             d *= base ** min(1 + p.position(ax, i) for i in e)
         assert any(bad.label_of(i) % d for i in e)
     assert failed >= 10
+
+
+# ---------------------------------------------------------------------------
+# Forward maps: int arithmetic against the Fraction references
+# ---------------------------------------------------------------------------
+
+# explicit chains: finite, so the last digit is unbounded ((1,) alone puts
+# every number in one digit at position 0)
+EXPLICIT_CHAINS = ((1,), (1, 2), (1, 3), (1, 2, 6), (1, 3, 6, 12), (1, 2, 4, 8, 24),
+                   (1, 5, 25, 100))
+PQ_BASES = ((2, 3), (2, 5), (3, 4), (3, 5))
+
+
+def _outcome(fn, *args):
+    """The map's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_same_squares(s, chain):
+    got = map_powers_to_octants(s, chain)
+    ref = reference_map_powers_to_octants(s, chain)
+    assert got.points.points == ref.points.points
+    assert list(got.boxes.items()) == list(ref.boxes.items())
+    assert got.corr == ref.corr
+    for n in list(s) + [0, 1, 299, 300]:
+        assert chain.digits(n) == reference_chain_digits(chain, n)
+
+
+def _assert_same_points(fn, ref, *args):
+    got, want = _outcome(fn, *args), _outcome(ref, *args)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (pts, corr), (ref_pts, ref_corr) = got, want
+    assert pts.dim == ref_pts.dim and pts.points == ref_pts.points
+    assert corr == ref_corr
+
+
+def _vertex_sets(rng):
+    """Contiguous 0..N and from a..N, and sparse samples, N up to 300."""
+    top = rng.randint(0, 300)
+    return [range(top + 1), range(rng.randint(0, top), top + 1),
+            rng.sample(range(301), rng.randint(1, 60)), [top]]
+
+
+def test_squares_match_reference_seeded():
+    rng = random.Random(10001)
+    for t in range(2, 6):
+        for s in _vertex_sets(rng):
+            _assert_same_squares(s, chain_of_powers(t))
+    for ds in EXPLICIT_CHAINS:
+        for s in _vertex_sets(rng):
+            _assert_same_squares(s, chain_explicit(ds))
+    _assert_same_squares([], chain_of_powers(2))
+
+
+def test_valuation_maps_match_reference_seeded():
+    rng = random.Random(10002)
+    for p, q in PQ_BASES:
+        for M in ([0], [0, 1], rng.sample(range(p * q), 3), list(range(p * q)), [p * q]):
+            for s in _vertex_sets(rng):
+                _assert_same_points(map_pq_to_octants, reference_map_pq_to_octants, s, p, q, M)
+    for t in range(2, 6):
+        for M in ([0], [0, 1], [1], list(range(t)), [0, t]):
+            for s in _vertex_sets(rng):
+                _assert_same_points(map_powers_to_bottomless,
+                                    reference_map_powers_to_bottomless, s, t, M)
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_forward_maps_match_reference_property(data):
+    s = data.draw(st.one_of(
+        st.builds(lambda a, b: range(min(a, b), max(a, b) + 1),
+                  st.integers(0, 300), st.integers(0, 300)),
+        st.lists(st.integers(0, 300), min_size=1, max_size=40)))
+    kind = data.draw(st.sampled_from(("powers", "explicit")))
+    value = data.draw(st.integers(2, 5) if kind == "powers" else st.sampled_from(EXPLICIT_CHAINS))
+    _assert_same_squares(s, chain_of_powers(value) if kind == "powers" else chain_explicit(value))
+    p, q = data.draw(st.sampled_from(PQ_BASES))
+    M = data.draw(st.one_of(st.just([0]), st.lists(st.integers(0, p * q - 1), min_size=1,
+                                                   max_size=4, unique=True)))
+    _assert_same_points(map_pq_to_octants, reference_map_pq_to_octants, s, p, q, M)
+    t = data.draw(st.integers(2, 5))
+    M = data.draw(st.one_of(st.just([0]), st.lists(st.integers(0, t - 1), min_size=1,
+                                                   max_size=t, unique=True)))
+    _assert_same_points(map_powers_to_bottomless, reference_map_powers_to_bottomless, s, t, M)
+
+
+def _squares(s, chain):
+    lay = reference_map_powers_to_octants(s, chain)
+    return lay.points, lay.corr
+
+
+CLI_FORWARD_CASES = [
+    (0, 120, ["powers-octants", "--t", "2"], lambda s: _squares(s, chain_of_powers(2))),
+    (7, 90, ["powers-octants", "--t", "5"], lambda s: _squares(s, chain_of_powers(5))),
+    (0, 80, ["powers-octants", "--chain", "1,2,6,12"],
+     lambda s: _squares(s, chain_explicit([1, 2, 6, 12]))),
+    (0, 150, ["pq-octants", "--M", "0"], lambda s: reference_map_pq_to_octants(s, 2, 3, [0])),
+    (3, 150, ["pq-octants", "--p", "3", "--q", "4", "--M", "0,1,5"],
+     lambda s: reference_map_pq_to_octants(s, 3, 4, [0, 1, 5])),
+    (0, 150, ["powers-bottomless", "--t", "3", "--M", "0"],
+     lambda s: reference_map_powers_to_bottomless(s, 3, [0])),
+    (0, 150, ["powers-bottomless", "--t", "4", "--M", "0,1,3"],
+     lambda s: reference_map_powers_to_bottomless(s, 4, [0, 1, 3])),
+]
+
+
+@pytest.mark.parametrize("lo, hi, argv, reference", CLI_FORWARD_CASES,
+                         ids=[f"{lo}..{hi}_" + "_".join(argv) for lo, hi, argv, _ in CLI_FORWARD_CASES])
+def test_cli_embed_documents_match_reference(tmp_path, lo, hi, argv, reference):
+    out = tmp_path / "embed.json"
+    assert main(["embed", "--map", *argv, "--vertices", f"{lo}..{hi}", "--out", str(out)]) == 0
+    pts, corr = reference(list(range(lo, hi + 1)))
+    doc = formats.points_doc(pts)
+    doc["correspondence"] = [list(p) for p in corr.pairs]
+    assert out.read_text() == formats.dumps(doc, pretty=False)
