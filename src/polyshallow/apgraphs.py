@@ -9,9 +9,15 @@ Finite mode additionally keeps every prefix of each intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .core import Hypergraph
+
+# The power kinds, with one, two and three pairwise coprime bases: D holds
+# every product of powers of the bases.
+_POWER_KINDS = ("powers", "biPowers", "triPowers")
 
 
 @dataclass(frozen=True)
@@ -19,7 +25,8 @@ class APSpec:
     """Difference-set generator, offset set M, finite/infinite mode.
 
     kind: one of "explicit", "powers", "biPowers", "triPowers",
-    "divisorChain"; params holds the generator arguments.
+    "divisorChain"; params holds the generator arguments (for the power
+    kinds, one, two or three pairwise coprime bases).
     """
 
     kind: str
@@ -56,18 +63,11 @@ class APSpec:
         if k == "explicit":
             if any(d < 1 for d in ps):
                 raise ValueError("explicit differences must be positive")
-        elif k == "powers":
-            if len(ps) != 1 or ps[0] < 2:
-                raise ValueError("powers(t) needs t >= 2")
-        elif k == "biPowers":
-            if len(ps) != 2 or any(b < 2 for b in ps) or _gcd(ps[0], ps[1]) != 1:
-                raise ValueError("biPowers needs coprime bases >= 2")
-        elif k == "triPowers":
-            if len(ps) != 3 or any(b < 2 for b in ps):
-                raise ValueError("triPowers needs bases >= 2")
-            if (_gcd(ps[0], ps[1]) != 1 or _gcd(ps[0], ps[2]) != 1
-                    or _gcd(ps[1], ps[2]) != 1):
-                raise ValueError("triPowers bases must be pairwise coprime")
+        elif k in _POWER_KINDS:
+            count = _POWER_KINDS.index(k) + 1
+            if (len(ps) != count or any(b < 2 for b in ps)
+                    or any(gcd(a, b) != 1 for a, b in combinations(ps, 2))):
+                raise ValueError(f"{k} needs {count} pairwise coprime base(s) >= 2, got {list(ps)}")
         elif k == "divisorChain":
             prev = 1
             for d in ps:
@@ -76,12 +76,6 @@ class APSpec:
                 prev = d
         else:
             raise ValueError(f"unknown generator kind {k!r}")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def enumerate_differences(spec: APSpec, bound: int) -> list[int]:
@@ -96,33 +90,14 @@ def enumerate_differences(spec: APSpec, bound: int) -> list[int]:
     out: set[int] = set()
     if k == "explicit":
         out = {d for d in ps if d <= bound}
-    elif k == "powers":
-        t = ps[0]
-        v = 1
-        while v <= bound:
-            out.add(v)
-            v *= t
-    elif k == "biPowers":
-        p, q = ps
-        a = 1
-        while a <= bound:
-            v = a
-            while v <= bound:
-                out.add(v)
-                v *= q
-            a *= p
-    elif k == "triPowers":
-        p1, p2, p3 = ps
-        a = 1
-        while a <= bound:
-            b = a
-            while b <= bound:
-                v = b
+    elif k in _POWER_KINDS:
+        out = {1}
+        for b in ps:  # times each power of b, every product of the bases before it
+            for v in list(out):
+                v *= b
                 while v <= bound:
                     out.add(v)
-                    v *= p3
-                b *= p2
-            a *= p1
+                    v *= b
     elif k == "divisorChain":
         out = {1} | {d for d in ps if d <= bound}
     return sorted(out)

@@ -226,42 +226,27 @@ def _cmd_ap(args) -> int:
 
 def _cmd_embed(args) -> int:
     ms = [int(x) for x in args.M.split(",")] if args.M else [0]
-    if args.map == "powers-octants":
+    pts = None  # the reverse maps label the given points and emit no points
+    if args.map == "octants-pq":
+        corr = embeddings.map_octants_to_pq(formats.points_from(_read(args.points)), args.p, args.q)
+    elif args.map == "hextants-pqr":
+        corr = embeddings.map_hextants_to_pqr(formats.points_from(_read(args.points)),
+                                               args.p, args.q, args.p3)
+    elif args.map == "rectangles-tfin":
+        pts, corr = embeddings.map_rectangles_to_tfin(formats.points_from(_read(args.points)))
+    elif args.map == "powers-octants":
         svals = _parse_vertices(args.vertices)
         chain = (embeddings.chain_explicit([int(x) for x in args.chain.split(",")])
                  if args.chain else embeddings.chain_of_powers(args.t))
         lay = embeddings.map_powers_to_octants(svals, chain)
-        doc = formats.points_doc(lay.points)
-        doc["correspondence"] = [list(p) for p in lay.corr.pairs]
-        _emit(doc, args)
+        pts, corr = lay.points, lay.corr
     elif args.map == "pq-octants":
-        svals = _parse_vertices(args.vertices)
-        pts, corr = embeddings.map_pq_to_octants(svals, args.p, args.q, ms)
-        doc = formats.points_doc(pts)
-        doc["correspondence"] = [list(p) for p in corr.pairs]
-        _emit(doc, args)
-    elif args.map == "octants-pq":
-        pts = formats.points_from(_read(args.points))
-        corr = embeddings.map_octants_to_pq(pts, args.p, args.q)
-        _emit({"format": formats.FORMAT,
-               "correspondence": [list(p) for p in corr.pairs]}, args)
-    elif args.map == "hextants-pqr":
-        pts = formats.points_from(_read(args.points))
-        corr = embeddings.map_hextants_to_pqr(pts, args.p, args.q, args.p3)
-        _emit({"format": formats.FORMAT,
-               "correspondence": [list(p) for p in corr.pairs]}, args)
-    elif args.map == "powers-bottomless":
-        svals = _parse_vertices(args.vertices)
-        pts, corr = embeddings.map_powers_to_bottomless(svals, args.t, ms)
-        doc = formats.points_doc(pts)
-        doc["correspondence"] = [list(p) for p in corr.pairs]
-        _emit(doc, args)
+        pts, corr = embeddings.map_pq_to_octants(_parse_vertices(args.vertices), args.p, args.q, ms)
     else:
-        pts2 = formats.points_from(_read(args.points))
-        pts3, corr = embeddings.map_rectangles_to_tfin(pts2)
-        doc = formats.points_doc(pts3)
-        doc["correspondence"] = [list(p) for p in corr.pairs]
-        _emit(doc, args)
+        pts, corr = embeddings.map_powers_to_bottomless(_parse_vertices(args.vertices), args.t, ms)
+    doc = {"format": formats.FORMAT} if pts is None else formats.points_doc(pts)
+    doc["correspondence"] = [list(p) for p in corr.pairs]
+    _emit(doc, args)
     return EXIT_OK
 
 

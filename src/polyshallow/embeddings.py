@@ -8,6 +8,9 @@ therefore emit images whose y/z coordinates are the negatives of the
 textbook 1 - 1/g form (1/g - 1, sentinel +1 for zero valuation), which is
 the reflection-equivalent layout for this orientation.
 
+The reverse maps label octant points by two pairwise-coprime bases and
+hextant points by three, through one labelling for any number of bases.
+
 The three forward maps compute on ints and build each coordinate as one
 exact Fraction from its final numerator and denominator: the squares
 recursion keeps every corner as an int over its square's side 2^-shift,
@@ -19,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph
@@ -221,14 +226,8 @@ def map_powers_to_octants(s_vertices: Iterable[int], chain: _Chain) -> SquareLay
 
 
 # ---------------------------------------------------------------------------
-# Two-base valuations -> octants (and the reverse)
+# Two-base valuations -> octants, and octants / hextants -> two / three bases
 # ---------------------------------------------------------------------------
-
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
-
 
 def map_pq_to_octants(
     s_vertices: Iterable[int], p: int, q: int, M: Iterable[int]
@@ -236,7 +235,7 @@ def map_pq_to_octants(
     """Image of S under the two-base valuation map; every infinite AP with
     difference p^i q^j (i,j >= 1, plus d=1; all d when M={0}) admissible
     for M is octant-captured over the image."""
-    if p < 2 or q < 2 or not _coprime(p, q):
+    if p < 2 or q < 2 or gcd(p, q) != 1:
         raise ValueError("p, q must be coprime and >= 2")
     ms = sorted(set(M))
     if len({mu % (p * q) for mu in ms}) != len(ms):
@@ -269,65 +268,54 @@ def map_pq_to_octants(
     return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "octants", pairs)
 
 
-def _increasing_labels(bases: list[int], coprime_to: int) -> list[int]:
-    """Per point (in ascending x-rank): base * k with the smallest k >= 1
-    coprime to `coprime_to` keeping labels strictly increasing."""
-    labels = []
-    prev = 0
-    for base in bases:
-        k = prev // base + 1
-        while not _coprime(k, coprime_to):
-            k += 1
-        labels.append(base * k)
-        prev = labels[-1]
-    return labels
-
-
 def map_octants_to_pq(p3: PointSet, p: int, q: int) -> Correspondence:
     """Label octant points with naturals p^y-rank * q^z-rank * k so that
     every octant-captured edge maps into {k*d : k >= 1} for one difference
-    d = p^i q^j (checked by check_octant_divisibility)."""
-    if p3.dim != 3:
-        raise ValueError("need a 3-dimensional point set")
-    if p < 2 or q < 2 or not _coprime(p, q):
-        raise ValueError("p, q must be coprime and >= 2")
-    by_x = p3.orders[0][0]
-    bases = [p ** (1 + p3.position(1, i)) * q ** (1 + p3.position(2, i)) for i in by_x]
-    labels = _increasing_labels(bases, p * q)
-    pairs = tuple(sorted((labels[pos], i) for pos, i in enumerate(by_x)))
-    return Correspondence("points-to-numbers", "octants", pairs)
+    d = p^i q^j (checked by check_corner_divisibility)."""
+    return _corner_labels(p3, (p, q), "octants")
 
 
 def map_hextants_to_pqr(p4: PointSet, p1: int, p2: int, p3_: int) -> Correspondence:
     """Four-dimensional analogue of map_octants_to_pq with three bases."""
-    if p4.dim != 4:
-        raise ValueError("need a 4-dimensional point set")
-    for a, b in ((p1, p2), (p1, p3_), (p2, p3_)):
-        if not _coprime(a, b):
-            raise ValueError("bases must be pairwise coprime")
-    if min(p1, p2, p3_) < 2:
-        raise ValueError("bases must be >= 2")
-    by_x = p4.orders[0][0]
-    bases = [p1 ** (1 + p4.position(1, i)) * p2 ** (1 + p4.position(2, i))
-             * p3_ ** (1 + p4.position(3, i)) for i in by_x]
-    labels = _increasing_labels(bases, p1 * p2 * p3_)
-    pairs = tuple(sorted((labels[pos], i) for pos, i in enumerate(by_x)))
-    return Correspondence("points-to-numbers", "hextants", pairs)
+    return _corner_labels(p4, (p1, p2, p3_), "hextants")
+
+
+def _corner_labels(pts: PointSet, bases: tuple[int, ...], family: str) -> Correspondence:
+    """Point i gets the label prod(base_a ^ (1 + rank of i on axis a)) * k,
+    over the bounded axes a = 1.. in order, with k the least k >= 1 coprime
+    to the product of the bases that keeps the labels strictly increasing
+    in ascending x order."""
+    if pts.dim != len(bases) + 1:
+        raise ValueError(f"need a {len(bases) + 1}-dimensional point set")
+    if min(bases) < 2 or any(gcd(a, b) != 1 for a, b in combinations(bases, 2)):
+        raise ValueError(f"bases must be pairwise coprime and >= 2, got {list(bases)}")
+    all_bases = prod(bases)
+    pairs = []
+    label = 0
+    for i in pts.orders[0][0]:
+        base = prod(b ** (1 + pts.position(ax, i)) for ax, b in enumerate(bases, start=1))
+        k = label // base + 1
+        while gcd(k, all_bases) != 1:
+            k += 1
+        label = base * k
+        pairs.append((label, i))
+    return Correspondence("points-to-numbers", family, tuple(sorted(pairs)))
 
 
 def check_corner_divisibility(
     pts: PointSet, corr: Correspondence, bases: Sequence[int]
 ) -> PreservationReport:
     """For every octant/hextant-captured edge, the labels must be a subset
-    of the positive multiples of d = prod(base_i ^ min bounded-axis rank)."""
+    of the positive multiples of d = prod(base_i ^ min bounded-axis rank).
+    There is one base per bounded axis."""
+    if len(bases) != pts.dim - 1:
+        raise ValueError(f"{len(bases)} bases for the {pts.dim - 1} bounded axes")
     fam = OCTANTS if pts.dim == 3 else HEXTANTS
     ranks = [[1 + pts.position(ax, i) for i in range(len(pts))] for ax in range(1, pts.dim)]
     labels = {i: corr.label_of(i) for i in range(len(pts.points))}
     h = capture_edges(pts, fam)
     for e in h.edges:
-        d = 1
-        for ax, base in enumerate(bases):
-            d *= base ** min(ranks[ax][i] for i in e)
+        d = prod(base ** min(ranks[ax][i] for i in e) for ax, base in enumerate(bases))
         for i in e:
             if labels[i] % d != 0 or labels[i] <= 0:
                 return PreservationReport("failed", fam.tag, "points-to-numbers", e)

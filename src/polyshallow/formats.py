@@ -46,6 +46,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _ints(doc: dict, key: str) -> list[int]:
+    """doc[key], which must be a list of integers."""
+    xs = doc[key]
+    if not isinstance(xs, list) or not all(map(_is_int, xs)):
+        raise ValueError(f"{key} must be a list of integers, not {xs!r}")
+    return xs
+
+
 def hypergraph_from(doc: dict) -> Hypergraph:
     _check_format(doc)
     n, edges = doc["n"], doc["edges"]
@@ -102,7 +110,8 @@ def strips_from(doc: dict) -> list[Strip]:
 def apspec_from(doc: dict) -> APSpec:
     _check_format(doc)
     g = doc["generator"]
-    return APSpec(g["kind"], tuple(g["params"]), tuple(sorted(set(doc["M"]))), doc["mode"])
+    return APSpec(g["kind"], tuple(_ints(g, "params")), tuple(sorted(set(_ints(doc, "M")))),
+                  doc["mode"])
 
 
 # -- construction instance ---------------------------------------------------
@@ -155,9 +164,11 @@ def coloring_doc(chi: ColorAssignment) -> dict:
 
 def coloring_from(doc: dict) -> ColorAssignment:
     _check_format(doc)
-    return ColorAssignment(doc["k"], tuple(doc["colors"]))
+    if not _is_int(doc["k"]):
+        raise ValueError(f"k must be an integer, not {doc['k']!r}")
+    return ColorAssignment(doc["k"], tuple(_ints(doc, "colors")))
 
 
 def vertexset_from(doc: dict) -> VertexSet:
     _check_format(doc)
-    return VertexSet.of(doc["members"])
+    return VertexSet.of(_ints(doc, "members"))

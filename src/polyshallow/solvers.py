@@ -490,7 +490,6 @@ def min_shallow_c(h: Hypergraph, budget: SolveBudget = SolveBudget()) -> MinCRes
 class MRecord:
     """Instance-level smallest m with H_{>=m} polychromatically k-colorable."""
 
-    instance_id: str
     k: int
     m: int
     coloring: ColorAssignment
@@ -498,9 +497,7 @@ class MRecord:
     status: str = SAT
 
 
-def min_m_polychromatic(
-    h: Hypergraph, k: int, budget: SolveBudget = SolveBudget(), instance_id: str = ""
-) -> MRecord:
+def min_m_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget()) -> MRecord:
     """Scan m upward from 1; colorability is monotone in m (edges only
     disappear), so the first SAT is the minimum.
 
@@ -568,9 +565,9 @@ def min_m_polychromatic(
         if res.status == SAT:
             if is_polychromatic(hm(), res.witness) is not True:
                 raise AssertionError("solver colouring failed its re-check")
-            return MRecord(instance_id, k, m, res.witness, unsat_stats)
+            return MRecord(k, m, res.witness, unsat_stats)
         if res.status == BUDGET_EXHAUSTED:
-            return MRecord(instance_id, k, m, None, unsat_stats, status=BUDGET_EXHAUSTED)
+            return MRecord(k, m, None, unsat_stats, status=BUDGET_EXHAUSTED)
         unsat_stats = res.stats
     raise AssertionError("vacuous restriction must be SAT")
 
@@ -607,9 +604,8 @@ def coloring_pipeline(
             return res.witness if res.status == SAT else None
 
     threshold = c * (k - 1) + 1
-    base = capture_at_least(points, fam, threshold)
     # current edges as original-index vertex sets
-    current: set[tuple[int, ...]] = set(base)
+    current = set(geometry.capture_edges(points, fam, at_least=threshold).edges)
     alive = sorted(range(n))
 
     for j in range(k - 1):
@@ -649,11 +645,6 @@ def coloring_pipeline(
             tuple(to_orig[w] for w in eu if to_orig[w] not in hit_orig) for eu in uniform
         }
     return ColorAssignment(k, tuple(colors))
-
-
-def capture_at_least(points: geometry.PointSet, fam: geometry.RangeFamily, m: int) -> list[tuple[int, ...]]:
-    h = geometry.capture_edges(points, fam, at_least=m)
-    return [tuple(e) for e in h.edges]
 
 
 # ---------------------------------------------------------------------------

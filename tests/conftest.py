@@ -3,8 +3,10 @@ independent capture oracle (exhaustive threshold search over the
 coordinate grid), the reference shallow-hitting propagator with separate
 counters per edge, the per-m reference of the min-m scan, the reference
 progression builder and edge-preservation verifier, the reference
-tfin-slab prefix check, and the Fraction-arithmetic references of the
-three forward embedding maps and of the chain digit walk."""
+tfin-slab prefix check, the per-base-count references of the power
+difference sets and the corner labellings, and the Fraction-arithmetic
+references of the three forward embedding maps and of the chain digit
+walk."""
 from __future__ import annotations
 
 import itertools
@@ -228,9 +230,9 @@ def reference_min_m(h: Hypergraph, k: int, budget: solvers.SolveBudget) -> solve
         if res.status == solvers.SAT:
             if is_polychromatic(hm, res.witness) is not True:
                 raise AssertionError("solver colouring failed its re-check")
-            return solvers.MRecord("", k, m, res.witness, unsat_stats)
+            return solvers.MRecord(k, m, res.witness, unsat_stats)
         if res.status == solvers.BUDGET_EXHAUSTED:
-            return solvers.MRecord("", k, m, None, unsat_stats, status=solvers.BUDGET_EXHAUSTED)
+            return solvers.MRecord(k, m, None, unsat_stats, status=solvers.BUDGET_EXHAUSTED)
         unsat_stats = res.stats
         m += 1
         if m > h.max_edge_size + 1:  # empty edge set is vacuously colorable
@@ -303,6 +305,92 @@ def reference_tfin_prefix(pts, corr):
         if oct_labels[: len(e_labels)] != e_labels:
             return PreservationReport("failed", "tfin-slabs", "points-to-numbers", e)
     return PreservationReport("all-preserved", "tfin-slabs", "points-to-numbers")
+
+
+# ---------------------------------------------------------------------------
+# Reference difference sets and corner labellings: one copy per base count
+# ---------------------------------------------------------------------------
+
+def reference_enumerate_differences(spec, bound):
+    """The power kinds of `apgraphs.enumerate_differences` the slow way: one
+    nest of loops per number of bases."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    out = set()
+    if spec.kind == "powers":
+        (t,) = spec.params
+        v = 1
+        while v <= bound:
+            out.add(v)
+            v *= t
+    elif spec.kind == "biPowers":
+        p, q = spec.params
+        a = 1
+        while a <= bound:
+            v = a
+            while v <= bound:
+                out.add(v)
+                v *= q
+            a *= p
+    elif spec.kind == "triPowers":
+        p1, p2, p3 = spec.params
+        a = 1
+        while a <= bound:
+            b = a
+            while b <= bound:
+                v = b
+                while v <= bound:
+                    out.add(v)
+                    v *= p3
+                b *= p2
+            a *= p1
+    else:
+        raise ValueError(f"not a power kind: {spec.kind!r}")
+    return sorted(out)
+
+
+def _increasing_labels(bases, coprime_to):
+    """Per point (in ascending x-rank): base * k with the smallest k >= 1
+    coprime to `coprime_to` keeping labels strictly increasing."""
+    labels = []
+    prev = 0
+    for base in bases:
+        k = prev // base + 1
+        while math.gcd(k, coprime_to) != 1:
+            k += 1
+        labels.append(base * k)
+        prev = labels[-1]
+    return labels
+
+
+def reference_corner_labels(pts, bases):
+    """`embeddings.map_octants_to_pq` for two bases and
+    `embeddings.map_hextants_to_pqr` for three, one body per base count."""
+    if len(bases) == 2:
+        p, q = bases
+        if pts.dim != 3:
+            raise ValueError("need a 3-dimensional point set")
+        if p < 2 or q < 2 or math.gcd(p, q) != 1:
+            raise ValueError("p, q must be coprime and >= 2")
+        by_x = pts.orders[0][0]
+        per_point = [p ** (1 + pts.position(1, i)) * q ** (1 + pts.position(2, i)) for i in by_x]
+        labels = _increasing_labels(per_point, p * q)
+        pairs = tuple(sorted((labels[pos], i) for pos, i in enumerate(by_x)))
+        return Correspondence("points-to-numbers", "octants", pairs)
+    p1, p2, p3 = bases
+    if pts.dim != 4:
+        raise ValueError("need a 4-dimensional point set")
+    for a, b in ((p1, p2), (p1, p3), (p2, p3)):
+        if math.gcd(a, b) != 1:
+            raise ValueError("bases must be pairwise coprime")
+    if min(p1, p2, p3) < 2:
+        raise ValueError("bases must be >= 2")
+    by_x = pts.orders[0][0]
+    per_point = [p1 ** (1 + pts.position(1, i)) * p2 ** (1 + pts.position(2, i))
+                 * p3 ** (1 + pts.position(3, i)) for i in by_x]
+    labels = _increasing_labels(per_point, p1 * p2 * p3)
+    pairs = tuple(sorted((labels[pos], i) for pos, i in enumerate(by_x)))
+    return Correspondence("points-to-numbers", "hextants", pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,33 @@ def test_negative_offset_exit_code(tmp_path, capsys, argv, msg):
     code, out = run_cli(tmp_path, "embed", "--vertices", "0..5", *argv)
     assert code == 2 and out is None
     assert capsys.readouterr().err.startswith(msg)
+
+
+SPEC = {"format": 1, "generator": {"kind": "powers", "params": [2]}, "M": [0], "mode": "infinite"}
+
+
+@pytest.mark.parametrize("argv, doc, msg", [
+    (["ap", "--vertices", "0..5", "--spec"],
+     SPEC | {"generator": {"kind": "powers", "params": ["2"]}}, "params must be a list"),
+    (["ap", "--vertices", "0..5", "--spec"],
+     SPEC | {"generator": {"kind": "powers", "params": 2}}, "params must be a list"),
+    (["ap", "--vertices", "0..5", "--spec"], SPEC | {"M": ["0"]}, "M must be a list"),
+    (["ap", "--vertices", "0..5", "--spec"],
+     SPEC | {"generator": {"kind": ["powers"], "params": [2]}}, "unknown generator kind"),
+    (["witness", "thm5", "--k", "2", "--coloring"],
+     {"format": 1, "k": 2, "colors": ["0"] * 6}, "colors must be a list"),
+    (["witness", "thm5", "--k", "2", "--coloring"],
+     {"format": 1, "k": "2", "colors": [0] * 6}, "k must be an integer"),
+    (["falsify", "thm2", "--set"], {"format": 1, "members": ["1"]}, "members must be a list"),
+], ids=["spec-param-str", "spec-params-int", "spec-offset-str", "spec-kind-list",
+        "coloring-color-str", "coloring-k-str", "set-member-str"])
+def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, msg):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if argv[0] == "falsify":
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "thm2", "--m", "4", "--out", str(inst)]) == 0
+        argv = [*argv[:2], "--instance", str(inst), *argv[2:]]
+    code, out = run_cli(tmp_path, *argv, str(path))
+    assert code == 2 and out is None
+    assert capsys.readouterr().err.startswith(f"error: {msg}")

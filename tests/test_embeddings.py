@@ -149,6 +149,17 @@ def test_gamma_handles_ties():
     assert check_corner_divisibility(p, corr, [2, 3]).ok
 
 
+@pytest.mark.parametrize("bases", [[2, 3], [2], [], [2, 3, 5]], ids=str)
+def test_corner_divisibility_needs_one_base_per_bounded_axis(bases):
+    p = PointSet.of([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    corr = Correspondence("points-to-numbers", "octants", ((1, 0), (2, 1), (3, 2)))
+    if len(bases) == 2:
+        assert check_corner_divisibility(p, corr, bases).status == "failed"
+    else:
+        with pytest.raises(ValueError, match=f"{len(bases)} bases for the 2 bounded axes"):
+            check_corner_divisibility(p, corr, bases)
+
+
 def test_eta_examples_and_random():
     e1 = map_hextants_to_pqr(PointSet.of([(0, 0, 0, 0)]), 2, 3, 5)
     assert e1.pairs == ((30, 0),)

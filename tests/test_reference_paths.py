@@ -1,10 +1,13 @@
 """The progression builder, the edge-preservation verifier, the tfin-slab
-prefix check and the three forward embedding maps against the slow
-reference implementations in conftest: the same hypergraph, labels and
-edge-label map (in insertion order), the same reports, and the same
-points, boxes, correspondence and chain digits (the CLI documents byte
-for byte). Also the corner-divisibility check on labellings that break
-it."""
+prefix check, the power difference sets, the corner labellings and the
+three forward embedding maps against the slow reference implementations
+in conftest: the same hypergraph, labels and edge-label map (in insertion
+order), the same reports, difference lists and correspondences, and the
+same points, boxes, correspondence and chain digits (the CLI documents
+byte for byte). Also the corner-divisibility check on labellings that
+break it, and the bases each power kind rejects."""
+import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +18,8 @@ from conftest import (
     rand_points,
     reference_build_ap_hypergraph,
     reference_chain_digits,
+    reference_corner_labels,
+    reference_enumerate_differences,
     reference_map_powers_to_bottomless,
     reference_map_powers_to_octants,
     reference_map_pq_to_octants,
@@ -22,7 +27,7 @@ from conftest import (
     reference_verify,
 )
 from polyshallow import formats
-from polyshallow.apgraphs import APSpec, build_ap_hypergraph
+from polyshallow.apgraphs import APSpec, build_ap_hypergraph, enumerate_differences
 from polyshallow.cli import main
 from polyshallow.core import Hypergraph
 from polyshallow.embeddings import (
@@ -246,6 +251,103 @@ def test_corner_divisibility_fails_on_shuffled_labels(dim, bases):
 
 
 # ---------------------------------------------------------------------------
+# Power difference sets and corner labellings: one path for 1, 2 or 3 bases
+# ---------------------------------------------------------------------------
+
+POWER_KIND = {1: "powers", 2: "biPowers", 3: "triPowers"}
+# coprime bases, prime or not, in both orders
+POWER_BASES = ((2,), (3,), (10,), (2, 3), (3, 2), (4, 9), (9, 4), (5, 7), (2, 3, 5),
+               (3, 4, 5), (5, 4, 3), (4, 9, 25), (7, 2, 9))
+
+
+def _shuffled_points(rng, n, dim, coord_range):
+    """rand_points in random index order, so x order and index order differ."""
+    pts = list(rand_points(rng, n, dim, coord_range=coord_range).points)
+    rng.shuffle(pts)
+    return PointSet.of(pts)
+
+
+def _public_corner_labels(pts, bases):
+    """The public reverse map for len(bases)."""
+    if len(bases) == 2:
+        return map_octants_to_pq(pts, *bases)
+    return map_hextants_to_pqr(pts, *bases)
+
+
+def _labels_or_rejected(labelling, pts, bases):
+    try:
+        return labelling(pts, bases)
+    except ValueError:
+        return "rejected"
+
+
+@pytest.mark.parametrize("bases", POWER_BASES, ids=str)
+def test_power_differences_match_reference_seeded(bases):
+    spec = APSpec(POWER_KIND[len(bases)], bases, (0,))
+    for bound in range(1, 401):
+        assert enumerate_differences(spec, bound) == reference_enumerate_differences(spec, bound)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_power_differences_match_reference_property(data):
+    bases = data.draw(st.lists(st.integers(2, 40), min_size=1, max_size=3, unique=True)
+                      .filter(lambda bs: all(math.gcd(a, b) == 1
+                                             for a, b in itertools.combinations(bs, 2))))
+    spec = APSpec(POWER_KIND[len(bases)], tuple(bases), (0,))
+    bound = data.draw(st.integers(1, 10**6))
+    assert enumerate_differences(spec, bound) == reference_enumerate_differences(spec, bound)
+
+
+def test_power_spec_rejections():
+    """Each power kind takes exactly its number of bases, each >= 2 and no
+    two with a common factor, wherever the pair sits: (2, 3, 9), (3, 2, 4)."""
+    for kind, count in (("powers", 1), ("biPowers", 2), ("triPowers", 3)):
+        for n in range(5):
+            for ps in itertools.product((0, 1, 2, 3, 4, 9), repeat=n):
+                valid = (n == count and all(b >= 2 for b in ps)
+                         and all(math.gcd(a, b) == 1 for a, b in itertools.combinations(ps, 2)))
+                if valid:
+                    assert APSpec(kind, ps, (0,)).params == ps
+                else:
+                    with pytest.raises(ValueError):
+                        APSpec(kind, ps, (0,))
+    for kind, ps in (("biPowers", (4, 6)), ("triPowers", (2, 3, 9)), ("triPowers", (3, 2, 4)),
+                     ("triPowers", (10, 3, 25)), ("triPowers", (3, 1, 5))):
+        with pytest.raises(ValueError, match=f"{kind} needs"):
+            APSpec(kind, ps, (0,))
+
+
+CORNER_BASES = ((2, 3), (3, 2), (4, 9), (3, 4), (5, 2), (2, 3, 5), (3, 4, 5), (4, 9, 25),
+                (5, 3, 2))
+BAD_CORNER_BASES = ((2, 4), (6, 9), (1, 3), (0, 3), (3, 0), (2, 3, 9), (3, 2, 4), (9, 2, 3),
+                    (1, 2, 3), (2, 3, 1), (0, 5, 7))
+
+
+def test_corner_labels_match_reference_seeded():
+    rng = random.Random(11001)
+    for bases in CORNER_BASES + BAD_CORNER_BASES:
+        for _ in range(40):
+            dim = rng.choice([3, 4]) if rng.random() < 0.1 else len(bases) + 1
+            p = _shuffled_points(rng, rng.randint(1, 9), dim, rng.choice([2, 12]))
+            got = _labels_or_rejected(_public_corner_labels, p, bases)
+            assert got == _labels_or_rejected(reference_corner_labels, p, bases)
+            if bases in CORNER_BASES and dim == len(bases) + 1:
+                assert isinstance(got, Correspondence)
+            else:
+                assert got == "rejected"
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), bases=st.sampled_from(CORNER_BASES),
+       coord_range=st.sampled_from([2, 12]))
+def test_corner_labels_match_reference_property(seed, bases, coord_range):
+    rng = random.Random(seed)
+    p = _shuffled_points(rng, rng.randint(1, 10), len(bases) + 1, coord_range)
+    assert _public_corner_labels(p, bases) == reference_corner_labels(p, bases)
+
+
+# ---------------------------------------------------------------------------
 # Forward maps: int arithmetic against the Fraction references
 # ---------------------------------------------------------------------------
 
@@ -364,3 +466,37 @@ def test_cli_embed_documents_match_reference(tmp_path, lo, hi, argv, reference):
     doc = formats.points_doc(pts)
     doc["correspondence"] = [list(p) for p in corr.pairs]
     assert out.read_text() == formats.dumps(doc, pretty=False)
+
+
+def _corner_doc(bases):
+    def want(pts):
+        pairs = reference_corner_labels(pts, bases).pairs
+        return {"format": formats.FORMAT, "correspondence": [list(p) for p in pairs]}
+    return want
+
+
+def _tfin_doc(pts):
+    doc = formats.points_doc(PointSet.of([(u, v, -v) for u, v in pts.points], dim=3))
+    return doc | {"correspondence": [[i, i] for i in range(len(pts))]}
+
+
+CLI_POINTS_CASES = [
+    (3, ["octants-pq"], _corner_doc((2, 3))),
+    (3, ["octants-pq", "--p", "4", "--q", "9"], _corner_doc((4, 9))),
+    (4, ["hextants-pqr"], _corner_doc((2, 3, 5))),
+    (4, ["hextants-pqr", "--p", "3", "--q", "4", "--p3", "5"], _corner_doc((3, 4, 5))),
+    (2, ["rectangles-tfin"], _tfin_doc),
+]
+
+
+@pytest.mark.parametrize("dim, argv, want", CLI_POINTS_CASES,
+                         ids=["_".join(argv) for _, argv, _ in CLI_POINTS_CASES])
+def test_cli_embed_point_maps_match_reference(tmp_path, dim, argv, want):
+    """The maps that read --points: the reverse maps emit the
+    correspondence alone, rectangles-tfin the points as well."""
+    pts = _shuffled_points(random.Random(f"cli/{argv}"), 12, dim, 3)
+    path = tmp_path / "points.json"
+    path.write_text(formats.dumps(formats.points_doc(pts)))
+    out = tmp_path / "embed.json"
+    assert main(["embed", "--map", *argv, "--points", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == formats.dumps(want(pts), pretty=False)
