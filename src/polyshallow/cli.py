@@ -181,6 +181,13 @@ def _parse_vertices(text: Optional[str]) -> list[int]:
     return values
 
 
+def _map_points(path: Optional[str]) -> geometry.PointSet:
+    """The --points document of a map that labels given points."""
+    if path is None:
+        raise ValueError("this map needs --points")
+    return formats.points_from(_read(path))
+
+
 def _cmd_generate(args) -> int:
     m = args.m if args.m is not None else 12 if args.which == "thm2" else 22
     if args.which == "thm2":
@@ -228,12 +235,11 @@ def _cmd_embed(args) -> int:
     ms = [int(x) for x in args.M.split(",")] if args.M else [0]
     pts = None  # the reverse maps label the given points and emit no points
     if args.map == "octants-pq":
-        corr = embeddings.map_octants_to_pq(formats.points_from(_read(args.points)), args.p, args.q)
+        corr = embeddings.map_octants_to_pq(_map_points(args.points), args.p, args.q)
     elif args.map == "hextants-pqr":
-        corr = embeddings.map_hextants_to_pqr(formats.points_from(_read(args.points)),
-                                               args.p, args.q, args.p3)
+        corr = embeddings.map_hextants_to_pqr(_map_points(args.points), args.p, args.q, args.p3)
     elif args.map == "rectangles-tfin":
-        pts, corr = embeddings.map_rectangles_to_tfin(formats.points_from(_read(args.points)))
+        pts, corr = embeddings.map_rectangles_to_tfin(_map_points(args.points))
     elif args.map == "powers-octants":
         svals = _parse_vertices(args.vertices)
         chain = (embeddings.chain_explicit([int(x) for x in args.chain.split(",")])

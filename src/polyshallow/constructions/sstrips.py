@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..geometry import PointSet, strip_union
+from ..geometry import PointSet, _maximal_usable_runs, strip_union
 from .instance import ConstructionInstance
 
 
@@ -48,8 +48,6 @@ def single_strip_part_at_least(
     """Pigeonhole invariant: does some single strip capture >= m points of
     the edge while staying inside it? True for every union edge of size
     >= s(m-1)+1 by counting. Checked against maximal within-edge runs."""
-    from ..geometry import _maximal_usable_runs  # shared rank machinery
-
     best = 0
     for axis in (0, 1):
         for run in _maximal_usable_runs(points, frozenset(edge), axis):

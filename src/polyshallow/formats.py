@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .apgraphs import APSpec
 from .core import ColorAssignment, Hypergraph, VertexSet, ViolationWitness
@@ -54,6 +54,18 @@ def _ints(doc: dict, key: str) -> list[int]:
     return xs
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
+def _field(doc: dict, key: str, kind: type, item: Optional[type] = None):
+    """doc[key], which must be a JSON `kind`, and a list of `item`s if given."""
+    x = doc[key]
+    if not isinstance(x, kind) or item is not None and not all(isinstance(v, item) for v in x):
+        of = "" if item is None else f" of {_JSON_TYPES[item]}s"
+        raise ValueError(f"{key} must be a JSON {_JSON_TYPES[kind]}{of}, not {x!r}")
+    return x
+
+
 def hypergraph_from(doc: dict) -> Hypergraph:
     _check_format(doc)
     n, edges = doc["n"], doc["edges"]
@@ -84,9 +96,16 @@ def _coord(x) -> Fraction:
         raise ValueError(str(exc)) from None
 
 
+def _point_set(doc: dict) -> PointSet:
+    pts, dim = _field(doc, "points", list, list), doc["dim"]
+    if not _is_int(dim):
+        raise ValueError(f"dim must be an integer, not {dim!r}")
+    return PointSet.of([[_coord(c) for c in pt] for pt in pts], dim=dim)
+
+
 def points_from(doc: dict) -> PointSet:
     _check_format(doc)
-    return PointSet.of([[_coord(c) for c in pt] for pt in doc["points"]], dim=doc["dim"])
+    return _point_set(doc)
 
 
 # -- strips ------------------------------------------------------------------
@@ -102,14 +121,15 @@ def strips_doc(strips: list[Strip]) -> dict:
 
 def strips_from(doc: dict) -> list[Strip]:
     _check_format(doc)
-    return [Strip(d["axis"], _coord(d["lo"]), _coord(d["hi"])) for d in doc["strips"]]
+    return [Strip(d["axis"], _coord(d["lo"]), _coord(d["hi"]))
+            for d in _field(doc, "strips", list, dict)]
 
 
 # -- AP spec -----------------------------------------------------------------
 
 def apspec_from(doc: dict) -> APSpec:
     _check_format(doc)
-    g = doc["generator"]
+    g = _field(doc, "generator", dict)
     return APSpec(g["kind"], tuple(_ints(g, "params")), tuple(sorted(set(_ints(doc, "M")))),
                   doc["mode"])
 
@@ -137,17 +157,22 @@ def instance_doc(inst: ConstructionInstance) -> dict:
 
 def instance_from(doc: dict) -> ConstructionInstance:
     _check_format(doc)
-    fam = doc["family"]
-    family = RangeFamily(fam["tag"], fam.get("s", 1))
+    fam = _field(doc, "family", dict)
+    s = fam.get("s", 1)
+    if not _is_int(s):
+        raise ValueError(f"s must be an integer, not {s!r}")
+    family = RangeFamily(_field(fam, "tag", str), s)
     params = {
-        k: (tuple(v) if isinstance(v, list) else v) for k, v in doc["params"].items()
+        k: (tuple(v) if isinstance(v, list) else v)
+        for k, v in _field(doc, "params", dict).items()
     }
+    groups = _field(doc, "groups", dict)
     return ConstructionInstance(
         doc["kind"],
-        PointSet.of([[_coord(c) for c in pt] for pt in doc["points"]], dim=doc["dim"]),
+        _point_set(doc),
         family,
         params,
-        {k: tuple(v) for k, v in doc["groups"].items()},
+        {k: tuple(_ints(groups, k)) for k in groups},
         doc["theorem_scale"],
     )
 

@@ -19,16 +19,19 @@ per axis the point indices sorted by (rank, index) with their ranks
 (``PointSet.orders``). Tied coordinates share a rank: they are inseparable
 (no boundary between them), which makes the strict/closed distinction
 immaterial except at ties. After that one sort per axis, no capture test
-compares a Fraction. `capture_edges` enumerates on int bitmasks of point
-indices: per axis it unions the rank groups into runs, down-sets and
-up-sets, intersects (or, for the strip families, unites) them as ints, and
-turns each distinct mask into a sorted edge only at the end.
-`first_uncaptured` tests a batch of edges on the same masks: per bounded
-axis the cut masks of `rank_cuts` (the points at rank <= r, and at rank
->= r) are built once, and an edge is captured iff the AND of its cuts holds
-no point beyond its image. `capture_contains` answers single subsets
-without whole-set masks, scanning only the narrowest rank window. Every
-operation returns canonically sorted, deterministic output.
+compares a Fraction.
+
+One table, `_BOXES`, gives each family's ranges as box shapes: per axis,
+bounded below, above, on both sides or not at all. `capture_edges`
+enumerates the boxes of each shape on int bitmasks of point indices (runs,
+down-sets and up-sets of rank groups, intersected as ints; strip unions
+unite them) and turns each distinct mask into a sorted edge only at the
+end. `capture_contains` tests one subset: the smallest box of each shape
+that holds it, scanning only the narrowest rank window, or for unions of
+strips a cover search over the maximal runs of members. `first_uncaptured`
+tests a batch of edges of a one-shape family on the cut masks of
+`rank_cuts`, built once per bounded axis. Every operation returns
+canonically sorted, deterministic output.
 """
 from __future__ import annotations
 
@@ -46,16 +49,21 @@ from .core import Hypergraph, VertexSet
 Coord = Fraction
 Point = tuple[Fraction, ...]
 
-FAMILY_TAGS = (
-    "bottomless",
-    "strips",
-    "strip-union",
-    "cross-union",
-    "rectangles",
-    "octants",
-    "tfin-slabs",
-    "hextants",
-)
+# The family table: how each family's ranges bound each axis, as the
+# shapes of the boxes they are made of. Bit _LO bounds an axis below, bit
+# _UP above. A strip-union or cross-union range is a union of strips.
+_LO, _UP = 1, 2
+_FREE, _TWO = 0, _LO | _UP
+_BOXES = {
+    "bottomless": ((_TWO, _UP),),
+    "strips": ((_TWO, _FREE), (_FREE, _TWO)),
+    "strip-union": ((_TWO, _FREE), (_FREE, _TWO)),
+    "cross-union": ((_TWO, _FREE), (_FREE, _TWO)),
+    "rectangles": ((_TWO, _TWO),),
+    "octants": ((_LO, _UP, _UP),),
+    "tfin-slabs": ((_TWO, _UP, _UP),),
+    "hextants": ((_LO, _UP, _UP, _UP),),
+}
 
 
 def rat(x) -> Fraction:
@@ -75,18 +83,16 @@ class RangeFamily:
     s: int = 1  # strip count, used by strip-union only
 
     def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
+        if self.tag not in _BOXES:
             raise ValueError(f"unknown family {self.tag!r}")
         if self.tag == "strip-union" and self.s < 1:
             raise ValueError("strip-union needs s >= 1")
+        if self.tag != "strip-union" and self.s != 1:
+            raise ValueError(f"family {self.tag} takes no strip count, got s={self.s}")
 
     @property
     def dim(self) -> int:
-        if self.tag in ("octants", "tfin-slabs"):
-            return 3
-        if self.tag == "hextants":
-            return 4
-        return 2
+        return len(_BOXES[self.tag][0])
 
 
 BOTTOMLESS = RangeFamily("bottomless")
@@ -219,6 +225,18 @@ def _members(mask: int, indices: range) -> tuple[int, ...]:
 # capture_edges
 # ---------------------------------------------------------------------------
 
+def _box_captures(groups: list[list[int]], shape: tuple[int, ...]) -> Iterable[int]:
+    """The distinct nonempty captures of the boxes of a shape: per bounded
+    axis its runs, down-sets or up-sets (the down-sets of the reversed
+    groups), met in axis order."""
+    sets = None
+    for g, kind in zip(groups, shape):
+        if kind:
+            cuts = _runs(g) if kind == _TWO else _downsets(g if kind == _UP else g[::-1])
+            sets = cuts if sets is None else _meet(sets, cuts)
+    return sets
+
+
 def capture_edges(
     p: PointSet,
     fam: RangeFamily,
@@ -230,40 +248,26 @@ def capture_edges(
 
     Every point set is an int bitmask. Per axis, the runs (one interval),
     the down-sets (one upper bound) or the up-sets (one lower bound) are
-    unions of rank groups; a range's capture is the intersection of one of
-    each bounded axis (the union of its strips for the strip families).
-    Each intersection step keeps only the distinct nonempty masks, and
-    each mask that survives the size filter becomes one sorted edge.
+    unions of rank groups; a box's capture is the intersection of one of
+    each bounded axis of its shape (united over the strips for the strip
+    unions). Each intersection step keeps only the distinct nonempty
+    masks, and each mask that survives the size filter becomes one edge.
     """
     _check_dims(p, fam)
     if exact is not None and at_least is not None:
         raise ValueError("give at most one of exact / at_least")
     n = len(p.points)
     groups = [_group_masks(p, ax) for ax in range(p.dim)]
-    tag = fam.tag
-    if tag == "bottomless":
-        sets = _meet(_runs(groups[0]), _downsets(groups[1]))
-    elif tag in ("strips", "strip-union"):
-        singles = set(_runs(groups[0])).union(_runs(groups[1]))
-        sets, layer = set(singles), singles
-        if tag == "strip-union":
-            for _ in range(fam.s - 1):  # the unions of up to s strips
-                layer = {u | t for u in layer for t in singles}
-                sets |= layer
-    elif tag == "cross-union":
-        vert, horiz = _runs(groups[0]), _runs(groups[1])
-        sets = {a | b for a in vert for b in horiz}
-        sets.update(vert, horiz)
-    elif tag == "rectangles":
-        sets = _meet(_runs(groups[0]), _runs(groups[1]))
-    elif tag in ("octants", "hextants"):
-        sets = set(_downsets(groups[0][::-1]))
-        for g in groups[1:]:
-            sets = _meet(sets, _downsets(g))
-    elif tag == "tfin-slabs":
-        sets = _meet(_meet(_runs(groups[0]), _downsets(groups[1])), _downsets(groups[2]))
-    else:  # pragma: no cover
-        raise AssertionError(tag)
+    captures = [_box_captures(groups, shape) for shape in _BOXES[fam.tag]]
+    sets = set().union(*captures)
+    if fam.tag == "strip-union":
+        singles = layer = frozenset(sets)
+        for _ in range(fam.s - 1):  # the unions of up to s strips
+            layer = {u | t for u in layer for t in singles}
+            sets |= layer
+    elif fam.tag == "cross-union":
+        vert, horiz = captures
+        sets.update(a | b for a in vert for b in horiz)
 
     if exact is not None:
         sets = [s for s in sets if s.bit_count() == exact]
@@ -274,22 +278,8 @@ def capture_edges(
 
 
 # ---------------------------------------------------------------------------
-# capture_contains: direct membership tests, independent of capture_edges
+# capture_contains: direct membership tests on the same family table
 # ---------------------------------------------------------------------------
-
-# How a box family bounds each axis: bit _LO bounds it below, bit _UP above.
-_LO, _UP = 1, 2
-_FREE, _TWO = 0, _LO | _UP
-_X_INTERVAL, _Y_INTERVAL = (_TWO, _FREE), (_FREE, _TWO)
-_BOXES = {
-    "bottomless": ((_TWO, _UP),),
-    "strips": (_X_INTERVAL, _Y_INTERVAL),
-    "rectangles": ((_TWO, _TWO),),
-    "octants": ((_LO, _UP, _UP),),
-    "tfin-slabs": ((_TWO, _UP, _UP),),
-    "hextants": ((_LO, _UP, _UP, _UP),),
-}
-
 
 def _box_window(p: PointSet, box: list[tuple]) -> tuple[Sequence[int], int, int]:
     """The narrowest rank window of a box, given as (ranks, lo, hi, axis)
@@ -304,36 +294,29 @@ def _box_window(p: PointSet, box: list[tuple]) -> tuple[Sequence[int], int, int]
     return best
 
 
-def _box_excludes(box: list[tuple], window: Sequence[int], allowed) -> bool:
-    """True iff no point of the window outside `allowed` lies in the box."""
-    for i in window:
-        if i not in allowed:
-            for r, lo, hi, _ in box:
-                if not lo <= r[i] <= hi:
-                    break
-            else:
-                return False
-    return True
-
-
-def _contains_box(
-    p: PointSet, spec: tuple[int, ...], subset: frozenset, allowed: Optional[frozenset] = None
-) -> bool:
-    """Does the smallest box of the axis spec that holds `subset` hold no
-    point outside `allowed` (default: `subset`)? A point tied with a member
-    on a bounded axis cannot be excluded. Only the points inside the
-    narrowest rank window of a bounded axis are scanned, and none when the
-    window, which holds all of `subset`, holds just as many points."""
+def _contains_box(p: PointSet, shape: tuple[int, ...], subset: frozenset) -> bool:
+    """Does the smallest box of the shape that holds `subset` hold no other
+    point? A point tied with a member on a bounded axis cannot be excluded.
+    Only the points inside the narrowest rank window of a bounded axis are
+    scanned, and none when the window, which holds all of `subset`, holds
+    just as many points."""
     box = []
-    for ax, kind in enumerate(spec):
+    for ax, kind in enumerate(shape):
         if kind:
             r = p.ranks[ax]
             vals = [r[i] for i in subset]
             box.append((r, min(vals) if kind & _LO else 0,
                         max(vals) if kind & _UP else len(r), ax))
     order, start, stop = _box_window(p, box)
-    return stop - start == len(subset) or _box_excludes(
-        box, order[start:stop], subset if allowed is None else allowed)
+    if stop - start > len(subset):
+        for i in order[start:stop]:
+            if i not in subset:
+                for r, lo, hi, _ in box:
+                    if not lo <= r[i] <= hi:
+                        break
+                else:
+                    return False
+    return True
 
 
 def _maximal_usable_runs(p: PointSet, subset: frozenset, axis: int) -> list[frozenset]:
@@ -353,42 +336,24 @@ def _maximal_usable_runs(p: PointSet, subset: frozenset, axis: int) -> list[froz
     return out
 
 
-def _contains_strip_union(p: PointSet, subset: frozenset, s: int) -> bool:
-    """Greedy-free exact search: try to write subset as a union of <= s
-    single-strip captures whose union avoids non-members."""
-    # candidate strips: the maximal runs inside subset on each axis, which
-    # dominate smaller ones
-    cands = _maximal_usable_runs(p, subset, 0) + _maximal_usable_runs(p, subset, 1)
+def _contains_strip_cover(p: PointSet, fam: RangeFamily, subset: frozenset) -> bool:
+    """Is `subset` the union of up to s strips (strip-union), or of one
+    vertical and one horizontal strip, either possibly empty (cross-union),
+    that hold no other point? Each strip's capture lies in a maximal run of
+    ranks whose points are all members (`_maximal_usable_runs`), and
+    widening it to that run keeps it valid, so only those runs are tried.
+    The least member left uncovered lies in one of them (exact DFS)."""
+    xs, ys = (_maximal_usable_runs(p, subset, ax) for ax in (0, 1))
 
-    # cover `subset` by at most s candidates (small instances: DFS)
-    def dfs(remaining: frozenset, depth: int) -> bool:
-        if not remaining:
+    def cover(rest: frozenset, pools: tuple) -> bool:
+        # pools: (runs, k) pairs, taking at most k runs from each
+        if not rest:
             return True
-        if depth == 0:
-            return False
-        v = min(remaining)
-        return any(dfs(remaining - c, depth - 1) for c in cands if v in c)
+        v = min(rest)
+        return any(cover(rest - run, pools[:i] + ((runs, k - 1),) + pools[i + 1:])
+                   for i, (runs, k) in enumerate(pools) if k for run in runs if v in run)
 
-    return dfs(subset, s)
-
-
-def _contains_cross(p: PointSet, subset: frozenset) -> bool:
-    """One vertical plus one horizontal strip (either may be placed empty).
-
-    Need intervals I_x, I_y with: every member in I_x or I_y (by the right
-    coordinate), every non-member in neither. It suffices to try each
-    maximal usable run V on one axis (all points at its ranks are members)
-    and cover the remainder by the other axis' span: a larger V only
-    shrinks the remainder's span, so maximal runs dominate.
-    """
-    if any(_contains_box(p, spec, subset) for spec in _BOXES["strips"]):
-        return True
-    for axis, other in ((0, _Y_INTERVAL), (1, _X_INTERVAL)):
-        for v in _maximal_usable_runs(p, subset, axis):
-            rest = subset - v
-            if not rest or _contains_box(p, other, rest, subset):
-                return True
-    return False
+    return cover(subset, ((xs, 1), (ys, 1)) if fam.tag == "cross-union" else ((xs + ys, fam.s),))
 
 
 def capture_contains(p: PointSet, fam: RangeFamily, subset: VertexSet | Iterable[int]) -> bool:
@@ -405,12 +370,9 @@ def capture_contains(p: PointSet, fam: RangeFamily, subset: VertexSet | Iterable
         return False
     if min(sub) < 0 or max(sub) >= len(p.points):
         raise IndexError("subset index out of range")
-    if fam.tag == "cross-union":
-        return _contains_cross(p, sub)
-    if fam.tag == "strip-union" and fam.s > 1:
-        return _contains_strip_union(p, sub, fam.s)
-    boxes = _BOXES["strips" if fam.tag == "strip-union" else fam.tag]
-    return any(_contains_box(p, spec, sub) for spec in boxes)
+    if fam.tag == "cross-union" or fam.tag == "strip-union" and fam.s > 1:
+        return _contains_strip_cover(p, fam, sub)
+    return any(_contains_box(p, shape, sub) for shape in _BOXES[fam.tag])
 
 
 def first_uncaptured(
@@ -434,7 +396,7 @@ def first_uncaptured(
     _check_dims(p, fam)
     if point_of and (min(point_of) < 0 or max(point_of) >= len(p.points)):
         raise IndexError("subset index out of range")
-    boxes = _BOXES.get(fam.tag, ())
+    boxes = _BOXES[fam.tag]
     if len(boxes) != 1:
         for k, e in enumerate(edges):
             if not capture_contains(p, fam, [point_of[v] for v in e]):

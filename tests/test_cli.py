@@ -268,6 +268,7 @@ def test_negative_offset_exit_code(tmp_path, capsys, argv, msg):
 
 
 SPEC = {"format": 1, "generator": {"kind": "powers", "params": [2]}, "M": [0], "mode": "infinite"}
+INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
 
 
 @pytest.mark.parametrize("argv, doc, msg", [
@@ -283,15 +284,44 @@ SPEC = {"format": 1, "generator": {"kind": "powers", "params": [2]}, "M": [0], "
     (["witness", "thm5", "--k", "2", "--coloring"],
      {"format": 1, "k": "2", "colors": [0] * 6}, "k must be an integer"),
     (["falsify", "thm2", "--set"], {"format": 1, "members": ["1"]}, "members must be a list"),
+    (["ap", "--vertices", "0..5", "--spec"], SPEC | {"generator": [1]},
+     "generator must be a JSON object"),
+    (INSTANCE, {"params": 3}, "params must be a JSON object"),
+    (INSTANCE, {"family": "bottomless"}, "family must be a JSON object"),
+    (INSTANCE, {"family": {"tag": ["bottomless"]}}, "tag must be a JSON string"),
+    (INSTANCE, {"family": {"tag": "bottomless", "s": 3}},
+     "family bottomless takes no strip count"),
+    (INSTANCE, {"family": {"tag": "strip-union", "s": "2"}}, "s must be an integer"),
+    (INSTANCE, {"groups": [1]}, "groups must be a JSON object"),
+    (INSTANCE, {"groups": {"a": 5}}, "a must be a list of integers"),
+    (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2, "points": 5},
+     "points must be a JSON list of lists"),
+    (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2, "points": [5]},
+     "points must be a JSON list of lists"),
+    (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2.0, "points": [[0, 1]]},
+     "dim must be an integer"),
+    (["dual", "--strips"], {"format": 1, "strips": [5]}, "strips must be a JSON list of objects"),
+    (["embed", "--map", "octants-pq"], None, "this map needs --points"),
+    (["embed", "--map", "hextants-pqr"], None, "this map needs --points"),
+    (["embed", "--map", "rectangles-tfin"], None, "this map needs --points"),
 ], ids=["spec-param-str", "spec-params-int", "spec-offset-str", "spec-kind-list",
-        "coloring-color-str", "coloring-k-str", "set-member-str"])
+        "coloring-color-str", "coloring-k-str", "set-member-str", "spec-generator-list",
+        "instance-params-int", "instance-family-str", "instance-tag-list",
+        "instance-strip-count", "instance-s-str", "instance-groups-list",
+        "instance-group-int", "points-int", "point-int", "dim-float", "strip-int",
+        "octants-pq-no-points", "hextants-pqr-no-points", "rectangles-tfin-no-points"])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, msg):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
     if argv[0] == "falsify":
         inst = tmp_path / "inst.json"
         assert main(["generate", "thm2", "--m", "4", "--out", str(inst)]) == 0
-        argv = [*argv[:2], "--instance", str(inst), *argv[2:]]
-    code, out = run_cli(tmp_path, *argv, str(path))
+        if argv[-1] == "--instance":  # doc replaces fields of a valid instance
+            doc = json.loads(inst.read_text()) | doc
+        else:
+            argv = [*argv[:2], "--instance", str(inst), *argv[2:]]
+    if doc is not None:  # None: the command is run without its document
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    code, out = run_cli(tmp_path, *argv)
     assert code == 2 and out is None
     assert capsys.readouterr().err.startswith(f"error: {msg}")

@@ -18,6 +18,7 @@ from polyshallow.geometry import (
     STRIPS,
     TFIN_SLABS,
     PointSet,
+    RangeFamily,
     Strip,
     capture_contains,
     capture_edges,
@@ -28,9 +29,14 @@ from polyshallow.geometry import (
 )
 
 ALL_FAMILIES = [
-    BOTTOMLESS, STRIPS, strip_union(2), CROSS_UNION,
+    BOTTOMLESS, STRIPS, strip_union(1), strip_union(2), strip_union(3), CROSS_UNION,
     RECTANGLES, OCTANTS, TFIN_SLABS, HEXTANTS,
 ]
+
+
+def _family_id(fam):
+    """The tag, and the strip count of a strip union other than s = 2."""
+    return fam.tag if fam.tag != "strip-union" or fam.s == 2 else f"{fam.tag}-{fam.s}"
 
 
 def test_bottomless_three_point_example():
@@ -101,7 +107,7 @@ def _oracle_edges(p, fam, exact=None, at_least=None):
     return tuple(sorted(tuple(sorted(s)) for s in sets))
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES + [strip_union(3)], ids=lambda f: f"{f.tag}-{f.s}")
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f"{f.tag}-{f.s}")
 def test_size_filters_match_oracle(fam):
     rng = random.Random(19)
     for trial in range(12):
@@ -123,7 +129,7 @@ def _points_and_filter(draw, dim):
     return PointSet.of(pts), kw
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_family_id)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_capture_edges_matches_oracle_property(fam, data):
@@ -138,6 +144,12 @@ def test_every_edge_passes_contains():
         h = capture_edges(p, fam)
         for e in h.edges:
             assert capture_contains(p, fam, e) is True
+
+
+def test_strip_count_only_for_strip_union():
+    for tag, s in (("strips", 3), ("octants", 0), ("cross-union", 2), ("strip-union", 0)):
+        with pytest.raises(ValueError):
+            RangeFamily(tag, s)
 
 
 def test_strip_union_one_equals_strips():
@@ -252,7 +264,7 @@ def _points_and_subset(draw, dim):
     return PointSet.of(pts), frozenset(sub)
 
 
-@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=_family_id)
 @settings(max_examples=60)
 @given(data=st.data())
 def test_contains_matches_oracle_property(fam, data):

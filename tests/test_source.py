@@ -1,5 +1,6 @@
 """Rules on the library source itself."""
 import ast
+import sys
 from pathlib import Path
 
 import polyshallow
@@ -15,4 +16,23 @@ def test_no_assert_statements():
              for path in modules
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_imports_are_stdlib_or_polyshallow():
+    """The package has no runtime dependencies (`dependencies = []` in
+    pyproject.toml): every import names a standard-library module or
+    polyshallow itself, relative imports included."""
+    root = Path(polyshallow.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"polyshallow"}]
     assert found == []
