@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .core import Hypergraph
+from .core import Hypergraph, _unchecked
 
 # The power kinds, with one, two and three pairwise coprime bases: D holds
 # every product of powers of the bases.
@@ -158,7 +158,7 @@ def build_ap_hypergraph(
                     prefix = full[: ln + 1]
                     if prefix not in edges:
                         edges[prefix] = APEdgeLabel(a0, d, (svals[full[ln]] - a0) // d)
-    return Hypergraph(len(svals), tuple(sorted(edges))), svals, edges
+    return _unchecked(Hypergraph, n=len(svals), edges=tuple(sorted(edges))), svals, edges
 
 
 def expand_label(label: APEdgeLabel, s_vertices: Iterable[int]) -> tuple[int, ...]:

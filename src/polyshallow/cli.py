@@ -34,12 +34,6 @@ EXIT_BUDGET = 3
 EXIT_ABORT = 4
 
 
-def _family(name: str, s: int = 1) -> RangeFamily:
-    if name.startswith("strip-union"):
-        return geometry.strip_union(s)
-    return RangeFamily(name)
-
-
 def _read(path: str) -> dict:
     with open(path) as f:
         return json.load(f)
@@ -215,7 +209,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_capture(args) -> int:
     pts = formats.points_from(_read(args.points))
-    fam = _family(args.family, args.s)
+    fam = RangeFamily(args.family, args.s)
     h = geometry.capture_edges(pts, fam, exact=args.exact, at_least=args.at_least)
     _emit(formats.hypergraph_doc(h), args)
     return EXIT_OK
@@ -262,7 +256,7 @@ def _cmd_verify_embedding(args) -> int:
     if not isinstance(labels, list) or not all(map(formats._is_int, labels)):
         raise ValueError("--labels must be a JSON list of ints")
     pts = formats.points_from(_read(args.points))
-    fam = _family(args.family, args.s)
+    fam = RangeFamily(args.family, args.s)
     cdoc = _read(args.correspondence)
     pairs = cdoc.get("correspondence") if isinstance(cdoc, dict) else None
     if not isinstance(pairs, list) or not all(
@@ -312,7 +306,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     pts = formats.points_from(_read(args.points))
-    fam = _family(args.family, args.s)
+    fam = RangeFamily(args.family, args.s)
     chi = solvers.coloring_pipeline(pts, fam, args.k, args.c, budget=_budget(args))
     _emit(formats.coloring_doc(chi), args)
     return EXIT_OK

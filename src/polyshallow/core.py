@@ -5,14 +5,40 @@ Edges are stored sorted and deduplicated (set semantics). A Hypergraph
 built directly may hold the empty edge; only `Hypergraph.from_edges` drops
 empty edges, and the hitting solver and `min_shallow_c` handle them. All
 operations are pure functions on immutable values.
+
+Validation happens once, where data enters from outside the program: the
+public constructors `Hypergraph(n, edges)` and `VertexSet(members)` check
+everything, `Hypergraph.from_edges` canonicalises each edge and
+range-checks it as it goes, `VertexSet.of` sorts and deduplicates what is
+not strictly increasing, and `formats` and `geometry.rat` check documents
+and coordinates. A producer whose output
+is canonical by construction (the restrictions and the induced
+subhypergraph here, `geometry.capture_edges`,
+`apgraphs.build_ap_hypergraph`) builds its value with `_unchecked`, which
+skips the second check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
+from operator import ge, lt
 from typing import Iterable, Union
 
 Edge = tuple[int, ...]
+
+
+def _unchecked(cls, **fields):
+    """A frozen `Hypergraph` or `VertexSet` with the given fields, built
+    without `__post_init__`. The caller guarantees what that would check:
+    a VertexSet's members are strictly increasing; a Hypergraph's edges
+    are each strictly increasing, with every vertex in [0, n), and the
+    edge tuple is strictly increasing (canonical order, no repeats).
+    The fields are set one by one, as the dataclass `__init__` does:
+    touching `obj.__dict__` would give each instance a dict of its own,
+    about 150 bytes more."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -30,8 +56,10 @@ class Hypergraph:
         for e in edges:
             t = tuple(sorted(set(e)))
             if t:
+                if t[0] < 0 or t[-1] >= n:
+                    raise ValueError(f"edge {t} has a vertex outside [0, {n})")
                 canon.add(t)
-        return Hypergraph(n, tuple(sorted(canon)))
+        return _unchecked(Hypergraph, n=n, edges=tuple(sorted(canon)))
 
     def __post_init__(self):
         # sorted and duplicate-free means strictly increasing pairwise
@@ -71,7 +99,12 @@ class VertexSet:
 
     @staticmethod
     def of(items: Iterable[int]) -> "VertexSet":
-        return VertexSet(tuple(sorted(set(items))))
+        """The set of `items`, in any order and with repeats; a strictly
+        increasing input is taken as it is."""
+        t = tuple(items)
+        if not all(map(lt, t, t[1:])):
+            t = tuple(sorted(set(t)))
+        return _unchecked(VertexSet, members=t)
 
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
@@ -106,12 +139,12 @@ CheckResult = Union[bool, ViolationWitness]
 
 def restrict_at_least(h: Hypergraph, m: int) -> Hypergraph:
     """Keep exactly the edges of size >= m; n unchanged."""
-    return Hypergraph(h.n, tuple(e for e in h.edges if len(e) >= m))
+    return _unchecked(Hypergraph, n=h.n, edges=tuple(e for e in h.edges if len(e) >= m))
 
 
 def restrict_exact(h: Hypergraph, m: int) -> Hypergraph:
     """Keep exactly the edges of size == m; n unchanged."""
-    return Hypergraph(h.n, tuple(e for e in h.edges if len(e) == m))
+    return _unchecked(Hypergraph, n=h.n, edges=tuple(e for e in h.edges if len(e) == m))
 
 
 def induced_subhypergraph(h: Hypergraph, sub: VertexSet) -> Hypergraph:
@@ -124,10 +157,10 @@ def induced_subhypergraph(h: Hypergraph, sub: VertexSet) -> Hypergraph:
     pos = {v: i for i, v in enumerate(sub.members)}
     new_edges = set()
     for e in h.edges:
-        t = tuple(sorted(pos[v] for v in e if v in pos))
+        t = tuple([pos[v] for v in e if v in pos])  # pos is increasing, so t is sorted
         if t:
             new_edges.add(t)
-    return Hypergraph(len(sub.members), tuple(sorted(new_edges)))
+    return _unchecked(Hypergraph, n=len(sub.members), edges=tuple(sorted(new_edges)))
 
 
 def is_polychromatic(h: Hypergraph, chi: ColorAssignment) -> CheckResult:

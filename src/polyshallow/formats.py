@@ -100,7 +100,10 @@ def _point_set(doc: dict) -> PointSet:
     pts, dim = _field(doc, "points", list, list), doc["dim"]
     if not _is_int(dim):
         raise ValueError(f"dim must be an integer, not {dim!r}")
-    return PointSet.of([[_coord(c) for c in pt] for pt in pts], dim=dim)
+    try:
+        return PointSet.of(pts, dim=dim)
+    except TypeError as exc:  # a coordinate that is not one, as in _coord
+        raise ValueError(str(exc)) from None
 
 
 def points_from(doc: dict) -> PointSet:

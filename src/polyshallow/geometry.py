@@ -44,7 +44,7 @@ from itertools import accumulate, compress
 from operator import le, or_
 from typing import Iterable, Optional, Sequence
 
-from .core import Hypergraph, VertexSet
+from .core import Hypergraph, VertexSet, _unchecked
 
 Coord = Fraction
 Point = tuple[Fraction, ...]
@@ -67,13 +67,15 @@ _BOXES = {
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, 'num/den' strings, and Fractions to Fraction."""
+    """Coerce ints, 'num/den' strings, and Fractions to Fraction. The exact
+    types are tested first: `isinstance` against Fraction, an abstract
+    base class, is the slow test."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int or isinstance(x, (int, str)):
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not an exact coordinate: {x!r}")
 
 
@@ -115,7 +117,7 @@ class PointSet:
 
     @staticmethod
     def of(points: Iterable[Sequence], dim: Optional[int] = None) -> "PointSet":
-        pts = tuple(tuple(rat(c) for c in p) for p in points)
+        pts = tuple(tuple(map(rat, p)) for p in points)
         if dim is None:
             if not pts:
                 raise ValueError("cannot infer dimension of an empty point set")
@@ -274,7 +276,7 @@ def capture_edges(
     elif at_least is not None:
         sets = [s for s in sets if s.bit_count() >= at_least]
     indices = range(n)
-    return Hypergraph(n, tuple(sorted(_members(s, indices) for s in sets)))
+    return _unchecked(Hypergraph, n=n, edges=tuple(sorted(_members(s, indices) for s in sets)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 from . import geometry
@@ -512,8 +512,7 @@ def min_m_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
     is looked up once with one vertex dropped (a hit makes its witness its
     size - 1, which settles it for every later m), then tested as in
     `_minimal_edges` against the minimal edges kept so far at this level.
-    H_>=m itself is built only at SAT, for the two re-checks of the
-    colouring.
+    H_>=m itself is built only at SAT, for the re-check of the colouring.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -560,11 +559,9 @@ def min_m_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
         if lo < len(edges) and len(edges[lo]) < k:
             res = SolveResult(UNSAT)
         else:
-            hm = cache(partial(restrict_at_least, h, m))
-            res = _colour_search(n, minimal_edges(lo, m), degree, k, budget, hm)
-        if res.status == SAT:
-            if is_polychromatic(hm(), res.witness) is not True:
-                raise AssertionError("solver colouring failed its re-check")
+            res = _colour_search(n, minimal_edges(lo, m), degree, k, budget,
+                                 partial(restrict_at_least, h, m))
+        if res.status == SAT:  # _colour_search re-checked it on H_>=m
             return MRecord(k, m, res.witness, unsat_stats)
         if res.status == BUDGET_EXHAUSTED:
             return MRecord(k, m, None, unsat_stats, status=BUDGET_EXHAUSTED)

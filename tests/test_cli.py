@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from polyshallow.cli import main
+from polyshallow.geometry import PointSet, capture_edges, strip_union
 
 
 def run_cli(tmp_path, *argv):
@@ -31,6 +32,17 @@ def test_capture_example(tmp_path):
     code, doc = run_cli(tmp_path, "capture", "--family", "bottomless",
                         "--points", str(p), "--exact", "3")
     assert code == 0 and doc["edges"] == [[0, 1, 2]]
+
+
+def test_capture_strip_union_count(tmp_path):
+    diagonal = [[i, i] for i in range(4)]
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"format": 1, "dim": 2, "points": diagonal}))
+    code, doc = run_cli(tmp_path, "capture", "--family", "strip-union", "--s", "2",
+                        "--points", str(p))
+    want = capture_edges(PointSet.of(diagonal), strip_union(2))
+    assert code == 0 and doc["edges"] == [list(e) for e in want.edges]
+    assert [0, 2] in doc["edges"]  # two strips: one strip takes a run of the diagonal
 
 
 def test_solve_color_unsat(tmp_path):
@@ -267,6 +279,7 @@ def test_negative_offset_exit_code(tmp_path, capsys, argv, msg):
     assert capsys.readouterr().err.startswith(msg)
 
 
+POINTS = {"format": 1, "dim": 2, "points": [[0, 0], [1, 2], [2, 1]]}
 SPEC = {"format": 1, "generator": {"kind": "powers", "params": [2]}, "M": [0], "mode": "infinite"}
 INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
 
@@ -301,6 +314,10 @@ INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
     (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2.0, "points": [[0, 1]]},
      "dim must be an integer"),
     (["dual", "--strips"], {"format": 1, "strips": [5]}, "strips must be a JSON list of objects"),
+    (["capture", "--family", "strip-unionXYZ", "--s", "2", "--points"], POINTS,
+     "unknown family 'strip-unionXYZ'"),
+    (["capture", "--family", "strips", "--s", "3", "--points"], POINTS,
+     "family strips takes no strip count, got s=3"),
     (["embed", "--map", "octants-pq"], None, "this map needs --points"),
     (["embed", "--map", "hextants-pqr"], None, "this map needs --points"),
     (["embed", "--map", "rectangles-tfin"], None, "this map needs --points"),
@@ -309,6 +326,7 @@ INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
         "instance-params-int", "instance-family-str", "instance-tag-list",
         "instance-strip-count", "instance-s-str", "instance-groups-list",
         "instance-group-int", "points-int", "point-int", "dim-float", "strip-int",
+        "capture-family-suffix", "capture-strip-count",
         "octants-pq-no-points", "hextants-pqr-no-points", "rectangles-tfin-no-points"])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, msg):
     if argv[0] == "falsify":

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,29 @@ def test_rectangles_intersection_closure():
                 inter = a & b
                 if inter:
                     assert capture_contains(p, RECTANGLES, inter) is True
+
+
+class _Half(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("x, want", [
+    (Fraction(3, 4), Fraction(3, 4)), (_Half(1, 2), Fraction(1, 2)), (7, Fraction(7)),
+    (True, Fraction(1)), ("-5/10", Fraction(-1, 2)), ("4", Fraction(4)),
+], ids=["fraction", "fraction-subclass", "int", "bool", "string", "int-string"])
+def test_rat_coerces(x, want):
+    got = rat(x)
+    assert got == want and isinstance(got, Fraction)
+    if isinstance(x, Fraction):
+        assert got is x
+
+
+@pytest.mark.parametrize("x", [0.5, None, [1]], ids=["float", "none", "list"])
+def test_rat_rejects(x):
+    with pytest.raises(TypeError, match="not an exact coordinate"):
+        rat(x)
+    with pytest.raises(TypeError, match="not an exact coordinate"):
+        PointSet.of([(0, x)])
 
 
 def test_dual_strips_thm3_base():

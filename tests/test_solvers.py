@@ -436,7 +436,7 @@ PAIRS = Hypergraph.from_edges(4, [[0, 1], [2, 3]])
     (lambda: solve_polychromatic(QUAD, 2), "is_polychromatic", 1),
     (lambda: solve_shallow_hitting(ONE, 1), "is_shallow_hitting", 1),
     (lambda: solve_shallow_hitting(PAIRS, 1), "is_shallow_hitting", 1),
-    (lambda: min_m_polychromatic(QUAD, 2), "is_polychromatic", 2),  # its own re-check
+    (lambda: min_m_polychromatic(QUAD, 2), "is_polychromatic", 1),  # the re-check on H_>=m
 ], ids=["color-root", "color-search", "hit-root", "hit-search", "min-m"])
 def test_rejected_witness_raises(monkeypatch, run, checker, rejected_call):
     calls = []

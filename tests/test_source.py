@@ -36,3 +36,52 @@ def test_imports_are_stdlib_or_polyshallow():
             found += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"polyshallow"}]
     assert found == []
+
+
+# Every function that builds a value with `core._unchecked` (no validation),
+# named as (module, qualified function), with the test in
+# tests/test_producers.py that checks its output against full validation.
+UNCHECKED_PRODUCERS = {
+    ("core", "Hypergraph.from_edges"): "test_from_edges_valid_property",
+    ("core", "VertexSet.of"): "test_vertex_set_of_valid_property",
+    ("core", "restrict_at_least"): "test_restrictions_and_induced_valid_property",
+    ("core", "restrict_exact"): "test_restrictions_and_induced_valid_property",
+    ("core", "induced_subhypergraph"): "test_restrictions_and_induced_valid_property",
+    ("geometry", "capture_edges"): "test_capture_edges_valid_property",
+    ("apgraphs", "build_ap_hypergraph"): "test_build_ap_hypergraph_valid_property",
+}
+
+
+def _uses(tree: ast.AST, name: str) -> list[str]:
+    """Qualified names of the functions (or "<module>") that refer to `name`,
+    as a bare name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_unchecked_producers_are_tested():
+    """A function that skips validation must be on UNCHECKED_PRODUCERS, and
+    the test named for it must exist, so a new caller needs a test entry."""
+    root = Path(polyshallow.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        tree = ast.parse(path.read_text(), str(path))
+        callers |= {(module, fn) for fn in _uses(tree, "_unchecked")}
+    assert callers == set(UNCHECKED_PRODUCERS)
+    tests = Path(__file__).with_name("test_producers.py")
+    defined = {node.name for node in ast.walk(ast.parse(tests.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert set(UNCHECKED_PRODUCERS.values()) <= defined
