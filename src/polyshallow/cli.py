@@ -73,18 +73,21 @@ def _coloring(spec: str, k: int, n: int, seed: int) -> ColorAssignment:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the result document here instead of stdout")
-    common.add_argument("--pretty", action="store_true", help="human-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
-    common.add_argument("--budget-nodes", type=int, default=10**7)
-    common.add_argument("--budget-millis", type=int, default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the result document here instead of stdout")
+    output.add_argument("--pretty", action="store_true", help="human-readable JSON")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget-nodes", type=int, default=10**7)
+    budget.add_argument("--budget-millis", type=int, default=None)
 
     ap = argparse.ArgumentParser(prog="polyshallow")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *parents, **kw):
+        """A subcommand with the output options and the given parents."""
+        return sub.add_parser(name, parents=[output, *parents], **kw)
 
     g = add_parser("generate", help="build a named construction")
     g.add_argument("which", choices=["thm2", "thm3", "thm4", "thm5", "thm6"])
@@ -127,33 +130,33 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--s", type=int, default=1)
     v.add_argument("--correspondence", required=True)
 
-    sc = add_parser("solve-color", help="polychromatic k-coloring search")
+    sc = add_parser("solve-color", budget, help="polychromatic k-coloring search")
     sc.add_argument("--hypergraph", required=True)
     sc.add_argument("--k", type=int, required=True)
     sc.add_argument("--at-least", type=int, help="restrict to edges of size >= m first")
 
-    sh = add_parser("solve-hitting", help="c-shallow hitting set search")
+    sh = add_parser("solve-hitting", budget, help="c-shallow hitting set search")
     sh.add_argument("--hypergraph", required=True)
     sh.add_argument("--c", type=int, required=True)
 
-    mc = add_parser("min-c", help="smallest c with a c-shallow hitting set")
+    mc = add_parser("min-c", budget, help="smallest c with a c-shallow hitting set")
     mc.add_argument("--hypergraph", required=True)
 
-    mm = add_parser("min-m", help="smallest m with H_{>=m} k-colorable")
+    mm = add_parser("min-m", budget, help="smallest m with H_{>=m} k-colorable")
     mm.add_argument("--hypergraph", required=True)
     mm.add_argument("--k", type=int, required=True)
 
-    f = add_parser("falsify", help="defeat a candidate shallow hitting set")
+    f = add_parser("falsify", seed, help="defeat a candidate shallow hitting set")
     f.add_argument("which", choices=["thm2", "thm4"])
     f.add_argument("--instance", required=True)
     f.add_argument("--set", required=True, dest="candidate")
 
-    w = add_parser("witness", help="defeat a candidate coloring")
+    w = add_parser("witness", seed, help="defeat a candidate coloring")
     w.add_argument("which", choices=["thm3", "thm5"])
     w.add_argument("--k", type=int, required=True)
     w.add_argument("--coloring", required=True)
 
-    p = add_parser("pipeline", help="shrink/hit/delete polychromatic coloring")
+    p = add_parser("pipeline", budget, help="shrink/hit/delete polychromatic coloring")
     p.add_argument("--points", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--s", type=int, default=1)

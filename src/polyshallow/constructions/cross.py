@@ -6,13 +6,9 @@ from fractions import Fraction
 
 from ..core import ColorAssignment, ViolationWitness
 from ..geometry import CROSS_UNION, PointSet, capture_contains
-from .instance import ConstructionInstance, FalsifierAbort
+from .instance import ConstructionInstance, FalsifierAbort, copies_per_base
 
 _CENTERS = ((1, 2), (2, 4), (3, 1), (4, 3), (5, -2), (6, 0), (7, -3), (8, -1))
-
-
-def cluster_size(k: int) -> int:
-    return -(-3 * k // 4) - 1  # ceil(3k/4) - 1
 
 
 def build_cross_lb(k: int) -> ConstructionInstance:
@@ -20,7 +16,7 @@ def build_cross_lb(k: int) -> ConstructionInstance:
     tight diagonal jitter keeping all coordinates globally distinct."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    t = cluster_size(k)
+    t = copies_per_base(k)
     pts: list[tuple[Fraction, Fraction]] = []
     groups: dict[str, tuple[int, ...]] = {}
     for ci, (cx, cy) in enumerate(_CENTERS):

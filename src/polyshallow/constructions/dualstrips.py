@@ -3,10 +3,11 @@ private cells force a non-polychromatic edge under any coloring."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from ..core import ColorAssignment, Hypergraph, ViolationWitness
 from ..geometry import Strip, dual_strips_hypergraph
-from .instance import FalsifierAbort
+from .instance import FalsifierAbort, copies_per_base
 
 # base strips: V1 = x in (0,2), V2 = x in (1,3), H1 = y in (0,2), H2 = y in (1,3)
 _BASES = (("x", 0, 2), ("x", 1, 3), ("y", 0, 2), ("y", 1, 3))
@@ -23,27 +24,25 @@ _PRIVATE_CELLS = {
 }
 
 
-def copies_per_base(k: int) -> int:
-    return -(-3 * k // 4) - 1  # ceil(3k/4) - 1
+@cache  # the witness re-checks against the same strips on every call
+def _copies(t: int) -> tuple[Strip, ...]:
+    """t copies of each base strip, base by base, nested outward by
+    distinct tiny rational offsets so every intersection pattern of the
+    bases is preserved."""
+    eps = Fraction(1, 8 * (t + 1))
+    return tuple(Strip(axis, Fraction(lo) - r * eps, Fraction(hi) + r * eps)
+                 for axis, lo, hi in _BASES for r in range(t))
 
 
 def build_dual_strip_lb(k: int) -> tuple[list[Strip], Hypergraph, dict]:
-    """ceil(3k/4)-1 copies of each base strip, nested outward by distinct
-    tiny rational offsets so every intersection pattern of the bases is
-    preserved; returns the strips, their dual hypergraph, and the groups
-    (base index -> strip indices)."""
+    """ceil(3k/4)-1 copies of each base strip (`_copies`); returns the
+    strips, their dual hypergraph, and the groups (base index -> strip
+    indices)."""
     if k < 2:
         raise ValueError("k must be >= 2")
     t = copies_per_base(k)
-    eps = Fraction(1, 8 * (t + 1))
-    strips: list[Strip] = []
-    groups: dict[int, tuple[int, ...]] = {}
-    for b, (axis, lo, hi) in enumerate(_BASES):
-        idxs = []
-        for r in range(t):
-            strips.append(Strip(axis, Fraction(lo) - r * eps, Fraction(hi) + r * eps))
-            idxs.append(len(strips) - 1)
-        groups[b] = tuple(idxs)
+    strips = list(_copies(t))
+    groups = {b: tuple(range(b * t, (b + 1) * t)) for b in range(len(_BASES))}
     return strips, dual_strips_hypergraph(strips), {"k": k, "copies": t, "groups": groups}
 
 
@@ -52,7 +51,8 @@ def witness_dual_strip(
 ) -> ViolationWitness:
     """Any k-coloring of the strips leaves some color absent from the
     copies of two base strips; the stabbed edge of their private cell
-    (all copies of both) misses that color."""
+    (all copies of both) misses that color. The edge is re-checked: it
+    must be the set of strips that contain the private cell."""
     if meta is None:
         _, _, meta = build_dual_strip_lb(k)
     t = meta["copies"]
@@ -70,5 +70,8 @@ def witness_dual_strip(
         if len(holders) >= 2:
             b1, b2 = holders[0], holders[1]
             edge = tuple(sorted(groups[b1] + groups[b2]))
+            cell = _PRIVATE_CELLS[(b1, b2)]
+            if edge != tuple(i for i, s in enumerate(_copies(t)) if s.contains(*cell)):
+                raise FalsifierAbort(f"the private cell of bases {b1} and {b2} is not their edge")
             return ViolationWitness(edge, "missing-color", color)
     raise FalsifierAbort("no color absent from two bases; pigeonhole failed")

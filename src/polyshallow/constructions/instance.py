@@ -12,6 +12,12 @@ class FalsifierAbort(AssertionError):
     Must abort loudly."""
 
 
+def copies_per_base(k: int) -> int:
+    """ceil(3k/4) - 1: the copies of each base strip of the dual-strip
+    bound and the points of each cluster of the cross-union bound."""
+    return -(-3 * k // 4) - 1
+
+
 @dataclass(frozen=True)
 class ConstructionInstance:
     """Point set plus named vertex groups (index tuples) and parameters."""

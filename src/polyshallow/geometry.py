@@ -46,7 +46,6 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, VertexSet, _unchecked
 
-Coord = Fraction
 Point = tuple[Fraction, ...]
 
 # The family table: how each family's ranges bound each axis, as the

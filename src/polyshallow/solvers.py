@@ -12,16 +12,18 @@ per-edge counters, decides the vertices they force and reports dead edges:
   colors still missing. An edge with one missing color and one uncolored
   vertex forces that vertex to the missing color; an edge missing more
   colors than it has uncolored vertices is dead. It runs on the
-  inclusion-minimal edges only (`_minimal_edges`). That is exact and
-  leaves the search unchanged: if e is a subset of f, f is polychromatic
-  whenever e is; when f is dead, e is dead too; and when f forces a
-  vertex, e forces the same color on it or is dead. So at every node the
-  propagation reaches the same fixpoint, or a conflict, as on all edges;
-  with the branching order still taken from the degrees in the full
-  hypergraph, the status, node count, depth and witness are the same too.
-- `min_m_polychromatic` runs the same colour search (`_colour_search`)
-  on each H_>=m it tries, with the minimal edges of every level from one
-  containment pass over the whole scan.
+  inclusion-minimal edges only. That is exact and leaves the search
+  unchanged: if e is a subset of f, f is polychromatic whenever e is;
+  when f is dead, e is dead too; and when f forces a vertex, e forces the
+  same color on it or is dead. So at every node the propagation reaches
+  the same fixpoint, or a conflict, as on all edges; with the branching
+  order still taken from the degrees in the full hypergraph, the status,
+  node count, depth and witness are the same too.
+- One colour path: `_Levels(h)` prepares the colour search on each level
+  H_>=m of h, with the minimal edges of every level from one containment
+  pass, and cuts a level with an edge smaller than k. `min_m_polychromatic`
+  runs it for m = 1, 2, ...; `solve_polychromatic` runs it once, at the
+  smallest edge size of h, where H_>=m is h itself.
 - `_Hitting` packs the chosen and undecided counts of an edge into one
   int, `undecided + ONE * chosen` with ONE one more than the largest edge
   size: putting a vertex in adds ONE - 1 to each of its edges, leaving it
@@ -97,34 +99,6 @@ def _static_order(degree: list[int]) -> list[int]:
     """Vertices by decreasing degree, ties by index (the sort is stable,
     also in reverse)."""
     return sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
-
-
-def _minimal_edges(h: Hypergraph) -> tuple[Edge, ...]:
-    """The inclusion-minimal edges of h, smallest first; h's own edges when
-    all have one size (distinct edges of one size cannot nest).
-
-    Each kept edge is held as a bitmask under its first vertex, so a
-    candidate is tested only against the kept edges that start inside it.
-    """
-    edges = h.edges
-    if len(set(map(len, edges))) < 2:
-        return edges
-    bit = [1 << v for v in range(h.n)]
-    kept_at: list[list[int]] = [[] for _ in range(h.n)]
-    kept = []
-    for e in sorted(edges, key=len):
-        mask = sum(map(bit.__getitem__, e))
-        for v in e:
-            for f in kept_at[v]:
-                if f & mask == f:
-                    break
-            else:
-                continue
-            break  # e contains the kept edge f
-        else:
-            kept_at[e[0]].append(mask)
-            kept.append(e)
-    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +248,7 @@ class _Coloring(_Propagator):
 
 def _colour_search(n: int, edges: tuple[Edge, ...], degree: list[int], k: int,
                    budget: SolveBudget, full: Callable[[], Hypergraph]) -> SolveResult:
-    """The colour search of `solve_polychromatic` and the min-m scan:
-    `_Coloring` on `edges`, the inclusion-minimal edges of the hypergraph
+    """`_Coloring` on `edges`, the inclusion-minimal edges of the hypergraph
     `full()`, branching in the order of its vertex degrees `degree`. The
     witness is re-checked against `full()`, which is called only then."""
     prop = _Coloring(n, edges, k)
@@ -289,6 +262,80 @@ def _colour_search(n: int, edges: tuple[Edge, ...], degree: list[int], k: int,
     return _search(_static_order(degree), budget, prop, range(k), finish)
 
 
+class _Levels:
+    """The colour searches on the levels H_>=m of one hypergraph h, for m
+    in increasing order.
+
+    The edges are sorted by size once (stably, so canonically within a
+    size), and the degrees are lowered as edges drop out. The minimal edges
+    of H_>=m come from one containment pass with witnesses: each edge keeps
+    the size of a known proper sub-edge, its witness (0 while none is
+    known, -1 once it is known to have none left). An edge whose witness is
+    at least m is not minimal; an edge of size m, or with witness -1, is.
+    Any other edge is looked up once with one vertex dropped (a hit makes
+    its witness its size - 1, which settles it for every later m), then
+    tested against the minimal edges kept so far at this level, each held
+    as a bitmask under its first vertex.
+    """
+
+    def __init__(self, h: Hypergraph):
+        self.n = h.n
+        self.edges = edges = sorted(h.edges, key=len)  # stable: canonical order within a size
+        self.bit = bit = [1 << v for v in range(h.n)]
+        self.masks = [sum(map(bit.__getitem__, e)) for e in edges]
+        self.is_edge = set(self.masks)
+        self.sub_size = [0] * len(edges)  # per edge, its witness
+        self.degree = degree = [0] * h.n  # in H_>=m, not in its minimal edges
+        for e in edges:
+            for v in e:
+                degree[v] += 1
+        self.lo = 0  # edges[lo:] is H_>=m
+
+    def _drop_below(self, m: int) -> int:
+        """Drops the edges smaller than m, lowering the degrees; returns lo."""
+        edges, degree, lo = self.edges, self.degree, self.lo
+        while lo < len(edges) and len(edges[lo]) < m:
+            for v in edges[lo]:
+                degree[v] -= 1
+            lo += 1
+        self.lo = lo
+        return lo
+
+    def minimal_edges(self, m: int) -> tuple[Edge, ...]:
+        """The inclusion-minimal edges of H_>=m, smallest first."""
+        edges, masks, bit, is_edge, sub_size = self.edges, self.masks, self.bit, self.is_edge, self.sub_size
+        kept, kept_at = [], [[] for _ in range(self.n)]
+        for i in range(self._drop_below(m), len(edges)):
+            w, e = sub_size[i], edges[i]
+            if w >= m:
+                continue
+            if w >= 0 and len(e) > m:
+                mask = masks[i]
+                # the drop-one lookup: is e minus one vertex an edge?
+                if not w and not is_edge.isdisjoint(map(mask.__xor__, map(bit.__getitem__, e))):
+                    sub_size[i] = len(e) - 1
+                    continue
+                sub = next((f for v in e for f in kept_at[v] if f & mask == f), 0)
+                if sub:
+                    sub_size[i] = sub.bit_count()
+                    continue
+                sub_size[i] = -1  # none of size >= m, so none at a later level
+            kept.append(e)
+            kept_at[e[0]].append(masks[i])
+        return tuple(kept)
+
+    def colour(self, m: int, k: int, budget: SolveBudget, full: Callable[[], Hypergraph]) -> SolveResult:
+        """The colour search on H_>=m, re-checked against `full()`, which
+        builds H_>=m."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        lo = self._drop_below(m)
+        # an edge smaller than k can never see all k colors
+        if lo < len(self.edges) and len(self.edges[lo]) < k:
+            return SolveResult(UNSAT)
+        return _colour_search(self.n, self.minimal_edges(m), self.degree, k, budget, full)
+
+
 def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget()) -> SolveResult:
     """Exact search for a polychromatic k-coloring of h.
 
@@ -297,17 +344,10 @@ def solve_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
     edge whose missing-color count exceeds its uncolored count is dead.
     Both run on the inclusion-minimal edges; the branching order comes
     from the degrees in h, and the witness is re-checked against all of h.
+    This is the one level of `_Levels` at the smallest edge size of h
+    (0 for the empty edge or no edges), where H_>=m is h itself.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # an edge smaller than k can never see all k colors
-    if min(map(len, h.edges), default=k) < k:
-        return SolveResult(UNSAT)
-    degree = [0] * h.n  # in h, not in the minimal edges
-    for e in h.edges:
-        for v in e:
-            degree[v] += 1
-    return _colour_search(h.n, _minimal_edges(h), degree, k, budget, lambda: h)
+    return _Levels(h).colour(min(map(len, h.edges), default=0), k, budget, lambda: h)
 
 
 # ---------------------------------------------------------------------------
@@ -499,69 +539,16 @@ class MRecord:
 
 def min_m_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget()) -> MRecord:
     """Scan m upward from 1; colorability is monotone in m (edges only
-    disappear), so the first SAT is the minimum.
-
-    Each level m runs the search of `solve_polychromatic` on H_>=m, but
-    the work per hypergraph is done once for the whole scan. The edges are
-    sorted by size once (stably, so canonically within a size), and the
-    degrees are updated as edges drop out. The minimal edges of H_>=m come
-    from one containment pass with witnesses: each edge keeps the size of
-    a known proper sub-edge, its witness (0 while none is known, -1 once
-    it is known to have none left). An edge whose witness is at least m is
-    not minimal; an edge of size m, or with witness -1, is. Any other edge
-    is looked up once with one vertex dropped (a hit makes its witness its
-    size - 1, which settles it for every later m), then tested as in
-    `_minimal_edges` against the minimal edges kept so far at this level.
-    H_>=m itself is built only at SAT, for the re-check of the colouring.
+    disappear), so the first SAT is the minimum. Each level m is the
+    colour search of `_Levels` on H_>=m, which does the work per
+    hypergraph once for the whole scan; H_>=m itself is built only at SAT,
+    for the re-check of the colouring.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = h.n
-    edges = sorted(h.edges, key=len)  # stable: canonical order within a size
-    bit = [1 << v for v in range(n)]
-    masks = [sum(map(bit.__getitem__, e)) for e in edges]
-    is_edge = set(masks)
-    sub_size = [0] * len(edges)  # per edge, its witness
-    degree = [0] * n
-    for e in edges:
-        for v in e:
-            degree[v] += 1
-
-    def minimal_edges(lo: int, m: int) -> tuple[Edge, ...]:
-        kept, kept_at = [], [[] for _ in range(n)]
-        for i in range(lo, len(edges)):
-            w, e = sub_size[i], edges[i]
-            if w >= m:
-                continue
-            if w >= 0 and len(e) > m:
-                mask = masks[i]
-                # the drop-one lookup: is e minus one vertex an edge?
-                if not w and not is_edge.isdisjoint(map(mask.__xor__, map(bit.__getitem__, e))):
-                    sub_size[i] = len(e) - 1
-                    continue
-                sub = next((f for v in e for f in kept_at[v] if f & mask == f), 0)
-                if sub:
-                    sub_size[i] = sub.bit_count()
-                    continue
-                sub_size[i] = -1  # none of size >= m, so none at a later level
-            kept.append(e)
-            kept_at[e[0]].append(masks[i])
-        return tuple(kept)
-
+    levels = _Levels(h)
     unsat_stats: Optional[SolveStats] = None
-    lo = 0  # edges[lo:] is H_>=m
     for m in range(1, h.max_edge_size + 2):  # the top level has no edge: SAT
-        while lo < len(edges) and len(edges[lo]) < m:
-            for v in edges[lo]:
-                degree[v] -= 1
-            lo += 1
-        # an edge smaller than k can never see all k colors
-        if lo < len(edges) and len(edges[lo]) < k:
-            res = SolveResult(UNSAT)
-        else:
-            res = _colour_search(n, minimal_edges(lo, m), degree, k, budget,
-                                 partial(restrict_at_least, h, m))
-        if res.status == SAT:  # _colour_search re-checked it on H_>=m
+        res = levels.colour(m, k, budget, partial(restrict_at_least, h, m))
+        if res.status == SAT:  # re-checked on H_>=m
             return MRecord(k, m, res.witness, unsat_stats)
         if res.status == BUDGET_EXHAUSTED:
             return MRecord(k, m, None, unsat_stats, status=BUDGET_EXHAUSTED)

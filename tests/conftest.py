@@ -1,12 +1,13 @@
 """Shared helpers: the one hypothesis profile, seeded random inputs, the
 independent capture oracle (exhaustive threshold search over the
 coordinate grid), the reference shallow-hitting propagator with separate
-counters per edge, the per-m reference of the min-m scan, the reference
-progression builder and edge-preservation verifier, the reference
-tfin-slab prefix check, the per-base-count references of the power
-difference sets and the corner labellings, and the Fraction-arithmetic
-references of the three forward embedding maps and of the chain digit
-walk."""
+counters per edge, the reference colour path (minimal edges, degrees and
+size cut per call) and on it the per-m reference of the min-m scan, the
+reference progression builder and edge-preservation verifier, the
+reference tfin-slab prefix check, the per-base-count references of the
+power difference sets and the corner labellings, and the
+Fraction-arithmetic references of the three forward embedding maps and
+of the chain digit walk."""
 from __future__ import annotations
 
 import itertools
@@ -216,17 +217,62 @@ def reference_hitting(h: Hypergraph, c: int, budget: solvers.SolveBudget) -> sol
 
 
 # ---------------------------------------------------------------------------
-# Reference min-m scan: one restriction and one solve per m
+# Reference colour path: minimal edges, degrees and the size cut per call
 # ---------------------------------------------------------------------------
+
+def reference_minimal_edges(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The inclusion-minimal edges of h, smallest first; h's own edges when
+    all have one size (distinct edges of one size cannot nest).
+
+    Each kept edge is held as a bitmask under its first vertex, so a
+    candidate is tested only against the kept edges that start inside it.
+    """
+    edges = h.edges
+    if len(set(map(len, edges))) < 2:
+        return edges
+    bit = [1 << v for v in range(h.n)]
+    kept_at: list[list[int]] = [[] for _ in range(h.n)]
+    kept = []
+    for e in sorted(edges, key=len):
+        mask = sum(map(bit.__getitem__, e))
+        for v in e:
+            for f in kept_at[v]:
+                if f & mask == f:
+                    break
+            else:
+                continue
+            break  # e contains the kept edge f
+        else:
+            kept_at[e[0]].append(mask)
+            kept.append(e)
+    return tuple(kept)
+
+
+def reference_solve_polychromatic(h: Hypergraph, k: int,
+                                  budget: solvers.SolveBudget) -> solvers.SolveResult:
+    """`solvers.solve_polychromatic` on its own preparation: the size cut,
+    the degrees in h and `reference_minimal_edges`, then the same colour
+    search."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if min(map(len, h.edges), default=k) < k:
+        return solvers.SolveResult(solvers.UNSAT)
+    degree = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    return solvers._colour_search(h.n, reference_minimal_edges(h), degree, k, budget, lambda: h)
+
 
 def reference_min_m(h: Hypergraph, k: int, budget: solvers.SolveBudget) -> solvers.MRecord:
     """`solvers.min_m_polychromatic` the slow way: for each m from 1 up,
-    build H_>=m with `restrict_at_least` and solve it from scratch."""
+    build H_>=m with `restrict_at_least` and solve it from scratch with
+    `reference_solve_polychromatic`."""
     unsat_stats = None
     m = 1
     while True:
         hm = restrict_at_least(h, m)
-        res = solvers.solve_polychromatic(hm, k, budget)
+        res = reference_solve_polychromatic(hm, k, budget)
         if res.status == solvers.SAT:
             if is_polychromatic(hm, res.witness) is not True:
                 raise AssertionError("solver colouring failed its re-check")

@@ -1,11 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from polyshallow.cli import main
+from polyshallow.cli import build_parser, main
 from polyshallow.geometry import PointSet, capture_edges, strip_union
 
 
@@ -69,6 +71,27 @@ def test_negative_budget_exit_code(tmp_path, capsys, flag, value):
                         flag, value)
     assert code == 2 and doc is None
     assert capsys.readouterr().err == "error: budget limits must be non-negative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "thm2", "--seed", "1"],
+    ["capture", "--family", "strips", "--points", "p.json", "--budget-nodes", "5"],
+], ids=["seed", "budget"])
+def test_unread_options_are_usage_errors(capsys, argv):
+    # a subcommand takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line.strip()) for line in
+                text.replace("\\\n", " ").splitlines() if line.startswith("    polyshallow ")]
+    assert len(commands) >= 15
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_validation_error_exit_code(tmp_path):

@@ -1,22 +1,25 @@
 import itertools
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from polyshallow.constructions import (
+    FalsifierAbort,
     GadgetParams,
     build_bottomless_no3shs,
     build_cross_lb,
     build_dual_strip_lb,
     build_sstrips_lb,
     build_strip_no2shs,
+    dualstrips,
     falsify_bottomless,
     falsify_strips,
     witness_cross,
     witness_dual_strip,
 )
-from polyshallow.constructions.dualstrips import copies_per_base
+from polyshallow.constructions.instance import copies_per_base
 from polyshallow.constructions.sstrips import single_strip_part_at_least
 from polyshallow.core import (
     ColorAssignment,
@@ -135,6 +138,17 @@ def test_thm3_all_zero_coloring():
     chi = ColorAssignment(2, (0,) * 4)
     w = witness_dual_strip(2, chi, meta)
     assert w.detail == 1
+
+
+def test_thm3_witness_rechecks_private_cell(monkeypatch):
+    # all-zero at k = 2 picks bases 0 and 1; a cell inside base 0 only
+    # (x in (0, 2), outside x in (1, 3) and both y-strips) must abort
+    _, _, meta = build_dual_strip_lb(2)
+    chi = ColorAssignment(2, (0,) * 4)
+    assert witness_dual_strip(2, chi, meta).edge == (0, 1)
+    monkeypatch.setitem(dualstrips._PRIVATE_CELLS, (0, 1), (Fraction(1, 2), Fraction(-1)))
+    with pytest.raises(FalsifierAbort, match="private cell of bases 0 and 1"):
+        witness_dual_strip(2, chi, meta)
 
 
 def test_thm3_disjoint_pair_coloring_k4():

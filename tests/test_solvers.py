@@ -13,6 +13,8 @@ from conftest import (
     rand_points_distinct,
     reference_hitting,
     reference_min_m,
+    reference_minimal_edges,
+    reference_solve_polychromatic,
 )
 from polyshallow.core import (
     ColorAssignment,
@@ -20,7 +22,6 @@ from polyshallow.core import (
     VertexSet,
     is_polychromatic,
     is_shallow_hitting,
-    is_sperner,
     restrict_at_least,
     restrict_exact,
 )
@@ -104,18 +105,22 @@ def _strip_union_captures(rng, count, n_max):
 
 
 def test_minimal_edges_match_oracle():
+    # one _Levels per hypergraph, driven through the levels in order, every
+    # level and every other one (the size cut skips levels): the minimal
+    # edges of each H_>=m (order included) and its degrees
     rng = random.Random(63)
     hs = [rand_hypergraph(rng, 12, 30) for _ in range(150)]
     hs += [restrict_at_least(h, rng.randint(1, 4)) for h in _strip_union_captures(rng, 40, 10)]
     hs += [restrict_exact(h, 3) for h in hs[:20]]
     for h in hs:
-        kept = solvers._minimal_edges(h)
-        if len({len(e) for e in h.edges}) < 2:
-            assert kept == h.edges
-        assert len(set(kept)) == len(kept) and set(kept) <= set(h.edges)
-        assert is_sperner(Hypergraph.from_edges(h.n, kept))
-        for e in set(h.edges) - set(kept):
-            assert any(set(f) < set(e) for f in kept)
+        for step in (1, 2):
+            levels = solvers._Levels(h)
+            for m in range(step, h.max_edge_size + 2, step):
+                hm = restrict_at_least(h, m)
+                brute = tuple(e for e in sorted(hm.edges, key=len)
+                              if not any(set(f) < set(e) for f in hm.edges))
+                assert levels.minimal_edges(m) == reference_minimal_edges(hm) == brute
+                assert levels.degree == [sum(v in e for e in hm.edges) for v in range(h.n)]
 
 
 def test_color_agrees_with_brute_force_on_nested_captures():
@@ -364,6 +369,31 @@ def _min_m_problems(draw):
 @given(_min_m_problems())
 def test_min_m_scan_matches_reference_property(problem):
     _check_min_m(*problem)
+
+
+def _uniform(rng, n, r):
+    return Hypergraph.from_edges(n, [rng.sample(range(n), r) for _ in range(rng.randint(1, 2 * n))])
+
+
+def test_solve_polychromatic_matches_reference():
+    # one level of _Levels prepares the same minimal edges, degrees and size
+    # cut as the per-call reference, so the whole search record is equal
+    rng = random.Random(68)
+    hs = [rand_hypergraph(rng, 10, 14) for _ in range(150)]
+    for h in _strip_union_captures(rng, 20, 8):
+        hs += [h, restrict_at_least(h, rng.randint(2, 5))]
+    hs += [_uniform(rng, rng.randint(4, 10), r) for r in (2, 3, 4) for _ in range(10)]
+    hs += [Hypergraph(3, ((), (0, 1))), Hypergraph(1, ((),)), Hypergraph.from_edges(4, [])]
+    seen = set()
+    for h in hs:
+        for k in (1, 2, 3):
+            for nodes in MIN_M_BUDGETS:
+                budget = SolveBudget(max_nodes=nodes)
+                got = _summary(solve_polychromatic(h, k, budget))
+                assert got == _summary(reference_solve_polychromatic(h, k, budget))
+                seen.add((got[0], got[1] > 0))
+    assert {(BUDGET_EXHAUSTED, True), (SAT, True), (UNSAT, True), (UNSAT, False)} <= seen
+
 
 def test_pipeline_strips():
     rng = random.Random(55)

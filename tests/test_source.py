@@ -85,3 +85,45 @@ def test_unchecked_producers_are_tested():
     defined = {node.name for node in ast.walk(ast.parse(tests.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert set(UNCHECKED_PRODUCERS.values()) <= defined
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function, class and assigned
+    name, and of each method of a module-level class; dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def _references(tree: ast.AST):
+    """Every loaded name, attribute read and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_no_dead_names():
+    """Every name the package defines at module level, and every method,
+    is referenced somewhere in src/, tests/ or bench/; dunders are exempt."""
+    root = Path(polyshallow.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    used = set()
+    for part in ("src", "tests", "bench"):
+        for path in sorted((repo / part).rglob("*.py")):
+            used.update(_references(ast.parse(path.read_text(), str(path))))
+    dead = [f"{path.relative_to(root)}:{line} {name}"
+            for path in sorted(root.rglob("*.py"))
+            for name, line in _definitions(ast.parse(path.read_text(), str(path)))
+            if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []
