@@ -3,7 +3,6 @@ private cells force a non-polychromatic edge under any coloring."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from ..core import ColorAssignment, Hypergraph, ViolationWitness
 from ..geometry import Strip, dual_strips_hypergraph
@@ -24,7 +23,6 @@ _PRIVATE_CELLS = {
 }
 
 
-@cache  # the witness re-checks against the same strips on every call
 def _copies(t: int) -> tuple[Strip, ...]:
     """t copies of each base strip, base by base, nested outward by
     distinct tiny rational offsets so every intersection pattern of the
