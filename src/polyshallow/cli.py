@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = add_parser("generate", help="build a named construction")
     g.add_argument("which", choices=["thm2", "thm3", "thm4", "thm5", "thm6"])
-    g.add_argument("--m", type=int, help="default 12 for thm2, 22 for thm4 and thm6")
-    g.add_argument("--k", type=int, default=2)
-    g.add_argument("--s", type=int, default=2)
+    g.add_argument("--m", type=int, help="thm2, thm4, thm6: default 12 for thm2, else 22")
+    g.add_argument("--k", type=int, help="thm3, thm5, thm6: default 2")
+    g.add_argument("--s", type=int, help="thm6: default 2")
 
     c = add_parser("capture", help="range-capture hypergraph of a point set")
     c.add_argument("--family", required=True)
@@ -115,12 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
         "powers-bottomless", "rectangles-tfin"])
     e.add_argument("--vertices", help="JSON list or 'lo..hi'")
     e.add_argument("--points")
-    e.add_argument("--t", type=int, default=2)
-    e.add_argument("--p", type=int, default=2)
-    e.add_argument("--q", type=int, default=3)
-    e.add_argument("--p3", type=int, default=5)
-    e.add_argument("--chain", help="comma-separated divisor chain")
-    e.add_argument("--M", default="0", help="comma-separated offsets")
+    e.add_argument("--t", type=int, help="default 2")
+    e.add_argument("--p", type=int, help="default 2")
+    e.add_argument("--q", type=int, help="default 3")
+    e.add_argument("--p3", type=int, help="default 5")
+    e.add_argument("--chain", help="comma-separated divisor chain, instead of --t")
+    e.add_argument("--M", help="comma-separated offsets, default 0")
 
     v = add_parser("verify-embedding", help="check edge preservation")
     v.add_argument("--hypergraph", required=True)
@@ -185,10 +185,39 @@ def _map_points(path: Optional[str]) -> geometry.PointSet:
     return formats.points_from(_read(path))
 
 
+# The options each construction and each map reads, with their defaults
+# (None: required, or optional without a default). An option given to one
+# that does not read it is an error, not silently dropped.
+_GENERATE_OPTIONS = {"thm2": {"m": 12}, "thm3": {"k": 2}, "thm4": {"m": 22}, "thm5": {"k": 2},
+                     "thm6": {"m": 22, "k": 2, "s": 2}}
+_EMBED_OPTIONS = {
+    "powers-octants": {"vertices": None, "t": None, "chain": None},
+    "pq-octants": {"vertices": None, "p": 2, "q": 3, "M": "0"},
+    "powers-bottomless": {"vertices": None, "t": 2, "M": "0"},
+    "octants-pq": {"points": None, "p": 2, "q": 3},
+    "hextants-pqr": {"points": None, "p": 2, "q": 3, "p3": 5},
+    "rectangles-tfin": {"points": None},
+}
+
+
+def _options(args, name: str, table: dict, key: str) -> None:
+    """Fill in the defaults of the options that `table[key]` reads. Any
+    other option of the table given on the command line is a validation
+    error (exit 2) that names it."""
+    reads = table[key]
+    unread = [f"--{o}" for o in dict.fromkeys(o for r in table.values() for o in r)
+              if o not in reads and getattr(args, o) is not None]
+    if unread:
+        raise ValueError(f"{name} {key} does not read {', '.join(unread)}")
+    for o, default in reads.items():
+        if getattr(args, o) is None:
+            setattr(args, o, default)
+
+
 def _cmd_generate(args) -> int:
-    m = args.m if args.m is not None else 12 if args.which == "thm2" else 22
+    _options(args, "generate", _GENERATE_OPTIONS, args.which)
     if args.which == "thm2":
-        inst = build_bottomless_no3shs(m)
+        inst = build_bottomless_no3shs(args.m)
         _emit(formats.instance_doc(inst), args)
     elif args.which == "thm3":
         strips, h, meta = build_dual_strip_lb(args.k)
@@ -198,13 +227,13 @@ def _cmd_generate(args) -> int:
                        "groups": {str(k): list(v) for k, v in meta["groups"].items()}}
         _emit(doc, args)
     elif args.which == "thm4":
-        inst = build_strip_no2shs(m)
+        inst = build_strip_no2shs(args.m)
         _emit(formats.instance_doc(inst), args)
     elif args.which == "thm5":
         inst = build_cross_lb(args.k)
         _emit(formats.instance_doc(inst), args)
     else:
-        base = build_strip_no2shs(m)
+        base = build_strip_no2shs(args.m)
         inst = build_sstrips_lb(args.s, args.k, base)
         _emit(formats.instance_doc(inst), args)
     return EXIT_OK
@@ -229,6 +258,7 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    _options(args, "map", _EMBED_OPTIONS, args.map)
     ms = [int(x) for x in args.M.split(",")] if args.M else [0]
     pts = None  # the reverse maps label the given points and emit no points
     if args.map == "octants-pq":
@@ -239,8 +269,10 @@ def _cmd_embed(args) -> int:
         pts, corr = embeddings.map_rectangles_to_tfin(_map_points(args.points))
     elif args.map == "powers-octants":
         svals = _parse_vertices(args.vertices)
+        if args.chain is not None and args.t is not None:
+            raise ValueError("map powers-octants reads --chain or --t, not both")
         chain = (embeddings.chain_explicit([int(x) for x in args.chain.split(",")])
-                 if args.chain else embeddings.chain_of_powers(args.t))
+                 if args.chain else embeddings.chain_of_powers(2 if args.t is None else args.t))
         lay = embeddings.map_powers_to_octants(svals, chain)
         pts, corr = lay.points, lay.corr
     elif args.map == "pq-octants":

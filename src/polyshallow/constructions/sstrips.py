@@ -2,9 +2,7 @@
 pigeonhole over copies forces a union edge missing a color."""
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..geometry import PointSet, _maximal_usable_runs, strip_union
+from ..geometry import Point, PointSet, _maximal_usable_runs, strip_union
 from .instance import ConstructionInstance
 
 
@@ -22,7 +20,7 @@ def build_sstrips_lb(s: int, k: int, base: ConstructionInstance) -> Construction
     ys = [pt[1] for pt in base.points.points]
     span_x = max(xs) - min(xs) + 1
     span_y = max(ys) - min(ys) + 1
-    pts: list[tuple[Fraction, Fraction]] = []
+    pts: list[Point] = []
     groups: dict[str, tuple[int, ...]] = {}
     copy_of: list[int] = []
     for r in range(copies):

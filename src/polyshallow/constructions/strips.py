@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ..core import ViolationWitness, VertexSet
 from ..geometry import STRIPS, PointSet
@@ -158,7 +159,8 @@ def _stretch(pattern: str, sizes: dict) -> list[tuple[str, int]]:
     for blk, n in sizes.items():
         ranks = ref[blk]
         for j in range(n):
-            jj = round(j * (len(ranks) - 1) / (n - 1)) if n > 1 else 0
+            # round half to even, on the exact quotient
+            jj = round(Fraction(j * (len(ranks) - 1), n - 1)) if n > 1 else 0
             keyed.append((ranks[jj], j, blk))
     keyed.sort()
     return [(blk, j) for _, j, blk in keyed]
@@ -185,32 +187,41 @@ def build_strip_no2shs(m: int) -> ConstructionInstance:
     columns = _TOP_COLUMNS + _LOW_COLUMNS + _PAD_COLUMNS
     row_width = sum(sz[g] for g, _ in columns)
     row_height = 6 * m + 3 * b + 7
+    # row 0, laid out once: the x of each (group, gadget, index) and the y
+    # order. A row holds row_height points and vertex indices follow y, so
+    # the point at place y of row i is vertex i * row_height + y.
+    xs: dict = {}
+    for g, j in columns:
+        for t in range(sz[g]):
+            xs[(g, j, t)] = len(xs)
+    y_order = [(g, j, t) for g, j in _PAD_COLUMNS for t in range(sz[g])]
+    y_order += [_LOW_TOKENS[blk] + (t,) for blk, t in low_zone]
+    y_order += [("X", 3, a if blk == "s" else a + 1 + t) for blk, t in s_lo]
+    y_order += [("X", 2, t if blk == "L" else a + t) for blk, t in x2]
+    y_chi = len(y_order)
+    y_order.append(("chi",))
+    y_order += [("X", 1, t) for _, t in top_band]
+    y_order += [("X", 3, t) for t in range(a)]
+    y_order += [(blk, 1, t) for blk, t in reversed(top_zone)]
+    members: dict = {}  # (group, gadget) -> [(index, y)]
+    for y, key in enumerate(y_order):
+        if y != y_chi:
+            members.setdefault(key[:2], []).append((key[2], y))
+    row_x = [xs.get(key, 0) for key in y_order]  # chi is placed per row
+    row_groups = {gj: [y for _, y in sorted(ys)] for gj, ys in members.items()}
+
+    # row i is row 0 moved by i * row_width in x and i * row_height in y;
+    # its x_i goes to the script-X slab east of every row
     pts: list[tuple[int, int]] = []
-    groups: dict[str, list[int]] = {}
-    chi: list[int] = []
+    named: dict[str, tuple[int, ...]] = {}
     for i in range(m):
-        xs: dict = {}  # (group, gadget, index) -> x
-        for g, j in columns:
-            for t in range(sz[g]):
-                xs[(g, j, t)] = i * row_width + len(xs)
-        y_order = [(g, j, t) for g, j in _PAD_COLUMNS for t in range(sz[g])]
-        y_order += [_LOW_TOKENS[blk] + (t,) for blk, t in low_zone]
-        y_order += [("X", 3, a if blk == "s" else a + 1 + t) for blk, t in s_lo]
-        y_order += [("X", 2, t if blk == "L" else a + t) for blk, t in x2]
-        y_order.append(("chi",))
-        y_order += [("X", 1, t) for _, t in top_band]
-        y_order += [("X", 3, t) for t in range(a)]
-        y_order += [(blk, 1, t) for blk, t in reversed(top_zone)]
-        for y, key in enumerate(y_order):  # vertex indices follow y
-            if key == ("chi",):
-                x = m * row_width + (m - 1 - i)
-                chi.append(len(pts))
-            else:
-                x = xs[key]
-                groups.setdefault(f"{key[0]}_{i}_{key[1]}", []).append((key[2], len(pts)))
-            pts.append((x, i * row_height + y))
-    named = {name: tuple(v for _, v in sorted(members)) for name, members in groups.items()}
-    named["chi"] = tuple(chi)
+        dx, dy = i * row_width, i * row_height
+        row = [(dx + x, dy + y) for y, x in enumerate(row_x)]
+        row[y_chi] = (m * row_width + (m - 1 - i), dy + y_chi)
+        pts += row
+        for (g, j), ys in row_groups.items():
+            named[f"{g}_{i}_{j}"] = tuple(dy + y for y in ys)
+    named["chi"] = tuple(i * row_height + y_chi for i in range(m))
     return ConstructionInstance(
         "thm4",
         PointSet.of(pts, dim=2),

@@ -8,12 +8,12 @@ operations are pure functions on immutable values.
 
 Validation happens once, where data enters from outside the program: the
 public constructors `Hypergraph(n, edges)` and `VertexSet(members)` check
-everything, `Hypergraph.from_edges` canonicalises each edge and
-range-checks it as it goes, `VertexSet.of` sorts and deduplicates what is
-not strictly increasing, and `formats` and `geometry.rat` check documents
-and coordinates. A producer whose output
-is canonical by construction (the restrictions and the induced
-subhypergraph here, `geometry.capture_edges`,
+everything, `Hypergraph.from_edges` canonicalises each edge (a strictly
+increasing tuple is taken as it is) and range-checks it as it goes,
+`VertexSet.of` sorts and deduplicates what is not strictly increasing,
+and `formats` and `geometry.rat` check documents and coordinates. A
+producer whose output is canonical by construction (the restrictions and
+the induced subhypergraph here, `geometry.capture_edges`,
 `apgraphs.build_ap_hypergraph`) builds its value with `_unchecked`, which
 skips the second check.
 """
@@ -54,11 +54,13 @@ class Hypergraph:
             raise ValueError("vertex count must be non-negative")
         canon = set()
         for e in edges:
-            t = tuple(sorted(set(e)))
-            if t:
-                if t[0] < 0 or t[-1] >= n:
-                    raise ValueError(f"edge {t} has a vertex outside [0, {n})")
-                canon.add(t)
+            # a strictly increasing tuple is its own canonical form
+            if type(e) is not tuple or not all(map(lt, e, e[1:])):
+                e = tuple(sorted(set(e)))
+            if e:
+                if e[0] < 0 or e[-1] >= n:
+                    raise ValueError(f"edge {e} has a vertex outside [0, {n})")
+                canon.add(e)
         return _unchecked(Hypergraph, n=n, edges=tuple(sorted(canon)))
 
     def __post_init__(self):

@@ -8,12 +8,11 @@ is byte-identical (keys sorted, edges canonically ordered, rationals as
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Optional
 
 from .apgraphs import APSpec
 from .core import ColorAssignment, Hypergraph, VertexSet, ViolationWitness
-from .geometry import PointSet, RangeFamily, Strip, rat
+from .geometry import PointSet, RangeFamily, Rational, Strip, rat
 from .constructions.instance import ConstructionInstance
 
 FORMAT = 1
@@ -32,7 +31,9 @@ def _check_format(doc: dict) -> None:
         raise ValueError(f"unsupported format {doc.get('format')!r}")
 
 
-def _rat_out(x: Fraction):
+def _rat_out(x: Rational):
+    """An exact rational (int or Fraction) as a bare int or a "num/den"
+    string; an int is written unchanged."""
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -88,8 +89,10 @@ def points_doc(p: PointSet) -> dict:
     }
 
 
-def _coord(x) -> Fraction:
-    """A document coordinate; a value that is not one is a bad document."""
+def _coord(x) -> Rational:
+    """A document coordinate as an exact rational (int or Fraction): a JSON
+    int stays an int. A value that is not one, a float or a bool say, is a
+    bad document."""
     try:
         return rat(x)
     except TypeError as exc:

@@ -11,14 +11,15 @@ Families and boundary conventions (as in the source definitions):
 - tfin-slabs:  x1 <= x <= x2, y <= y0, z <= z0 (closed, dim 3)
 - hextants:    x >= x0, y <= y0, z <= z0, w <= w0 (closed, dim 4)
 
-All coordinates are exact rationals, but capture depends only on their
-order, so every test runs in rank space (the reduction of Gabow, Bentley
-and Tarjan, STOC 1984). A point set computes, once and only when first
-asked, the dense rank of each point on each axis (``PointSet.ranks``) and
-per axis the point indices sorted by (rank, index) with their ranks
-(``PointSet.orders``). Tied coordinates share a rank: they are inseparable
-(no boundary between them), which makes the strict/closed distinction
-immaterial except at ties. After that one sort per axis, no capture test
+All coordinates are exact rationals (int or Fraction); an int coordinate
+stays an int. Capture depends only on their order, so every test runs in
+rank space (the reduction of Gabow, Bentley and Tarjan, STOC 1984). A
+point set computes, once and only when first asked, the dense rank of
+each point on each axis (``PointSet.ranks``) and per axis the point
+indices sorted by (rank, index) with their ranks (``PointSet.orders``).
+Tied coordinates share a rank: they are inseparable (no boundary between
+them), which makes the strict/closed distinction immaterial except at
+ties. After that one sort per axis, no capture test
 compares a Fraction.
 
 One table, `_BOXES`, gives each family's ranges as box shapes: per axis,
@@ -46,7 +47,8 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, VertexSet, _unchecked
 
-Point = tuple[Fraction, ...]
+Rational = int | Fraction  # an exact rational; an int coordinate stays an int
+Point = tuple[Rational, ...]  # a tuple of exact rationals (int or Fraction)
 
 # The family table: how each family's ranges bound each axis, as the
 # shapes of the boxes they are made of. Bit _LO bounds an axis below, bit
@@ -65,13 +67,15 @@ _BOXES = {
 }
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, 'num/den' strings, and Fractions to Fraction. The exact
-    types are tested first: `isinstance` against Fraction, an abstract
-    base class, is the slow test."""
-    if type(x) is Fraction:
+def rat(x) -> Rational:
+    """Coerce a coordinate to an exact rational (int or Fraction): an int
+    and a Fraction come back unchanged, a 'num/den' string or another int
+    type becomes a Fraction. A bool is not a coordinate. The exact types
+    are tested first: `isinstance` against Fraction, an abstract base
+    class, is the slow test."""
+    if type(x) is int or type(x) is Fraction:
         return x
-    if type(x) is int or isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and type(x) is not bool:
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
@@ -464,8 +468,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Strip:
     axis: str  # "x" (vertical strip, bounds on x) or "y" (horizontal)
-    lo: Fraction
-    hi: Fraction
+    lo: Rational
+    hi: Rational
 
     def __post_init__(self):
         if self.axis not in ("x", "y"):
@@ -473,12 +477,12 @@ class Strip:
         if self.lo >= self.hi:
             raise ValueError(f"degenerate strip: lo={self.lo} >= hi={self.hi}")
 
-    def contains(self, x: Fraction, y: Fraction) -> bool:
+    def contains(self, x: Rational, y: Rational) -> bool:
         v = x if self.axis == "x" else y
         return self.lo < v < self.hi
 
 
-def _cell_samples(bounds: list[Fraction]) -> list[Fraction]:
+def _cell_samples(bounds: list[Rational]) -> list[Rational]:
     """One sample per arrangement cell: midpoints of consecutive boundary
     values plus one point beyond each extreme."""
     vals = sorted(set(bounds))

@@ -5,9 +5,11 @@ counters per edge, the reference colour path (minimal edges, degrees and
 size cut per call) and on it the per-m reference of the min-m scan, the
 reference progression builder and edge-preservation verifier, the
 reference tfin-slab prefix check, the per-base-count references of the
-power difference sets and the corner labellings, and the
+power difference sets and the corner labellings, the
 Fraction-arithmetic references of the three forward embedding maps and
-of the chain digit walk."""
+of the chain digit walk, the per-row layout of the strips construction,
+and the edge canonicalisation of `Hypergraph.from_edges` that sorts every
+edge."""
 from __future__ import annotations
 
 import itertools
@@ -19,6 +21,8 @@ from hypothesis import settings
 
 from polyshallow import solvers
 from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
+from polyshallow.constructions import ConstructionInstance, GadgetParams
+from polyshallow.constructions import strips
 from polyshallow.core import Hypergraph, VertexSet, is_polychromatic, restrict_at_least
 from polyshallow.embeddings import (
     Correspondence,
@@ -26,7 +30,7 @@ from polyshallow.embeddings import (
     SquareLayout,
     valuation,
 )
-from polyshallow.geometry import TFIN_SLABS, PointSet, capture_contains, capture_edges
+from polyshallow.geometry import STRIPS, TFIN_SLABS, PointSet, capture_contains, capture_edges
 
 # Every property test is reproducible: no random seed, no example database
 # and no deadline; a test sets only its own max_examples.
@@ -575,3 +579,85 @@ def reference_map_powers_to_bottomless(s_vertices, t, M):
             pts.append((2 * r + 1 - Fraction(1, n), y))
     pairs = tuple((n, i) for i, n in enumerate(svals))
     return PointSet.of(pts, dim=2), Correspondence("numbers-to-points", "bottomless", pairs)
+
+
+# ---------------------------------------------------------------------------
+# Strips construction, one row at a time; from_edges sorting every edge
+# ---------------------------------------------------------------------------
+
+def _reference_stretch(pattern: str, sizes: dict) -> list[tuple[str, int]]:
+    """`strips._stretch` with the index rounded from a float quotient."""
+    ref: dict = {}
+    for rank, tok in enumerate(pattern.split()):
+        ref.setdefault(tok[0], {})[int(tok[1:])] = rank
+    keyed = []
+    for blk, n in sizes.items():
+        ranks = ref[blk]
+        for j in range(n):
+            jj = round(j * (len(ranks) - 1) / (n - 1)) if n > 1 else 0
+            keyed.append((ranks[jj], j, blk))
+    keyed.sort()
+    return [(blk, j) for _, j, blk in keyed]
+
+
+def reference_build_strip_no2shs(m: int) -> ConstructionInstance:
+    """`strips.build_strip_no2shs` the slow way: each row builds its own x
+    table and y order and names its groups point by point. No warning."""
+    gp = GadgetParams.for_m(m)
+    a, b = gp.a, gp.b
+    sz = gp.sizes
+    top_zone = _reference_stretch(strips._TOP_ZONE,
+                                  {g: sz[g] for g, _ in strips._TOP_COLUMNS if g != "X"})
+    top_band = _reference_stretch(strips._TOP_X, {"X": 2 * a})[::-1]
+    low_zone = _reference_stretch(strips._LOW_ZONE,
+                                  {k: sz[g] for k, (g, _) in strips._LOW_TOKENS.items()})
+    s_lo = _reference_stretch(strips._LOW_SLO, {"s": 1, "R": a - 1})
+    x2 = _reference_stretch(strips._LOW_X2, {"L": a, "U": a})
+
+    columns = strips._TOP_COLUMNS + strips._LOW_COLUMNS + strips._PAD_COLUMNS
+    row_width = sum(sz[g] for g, _ in columns)
+    row_height = 6 * m + 3 * b + 7
+    pts: list[tuple[int, int]] = []
+    groups: dict[str, list[int]] = {}
+    chi: list[int] = []
+    for i in range(m):
+        xs: dict = {}  # (group, gadget, index) -> x
+        for g, j in columns:
+            for t in range(sz[g]):
+                xs[(g, j, t)] = i * row_width + len(xs)
+        y_order = [(g, j, t) for g, j in strips._PAD_COLUMNS for t in range(sz[g])]
+        y_order += [strips._LOW_TOKENS[blk] + (t,) for blk, t in low_zone]
+        y_order += [("X", 3, a if blk == "s" else a + 1 + t) for blk, t in s_lo]
+        y_order += [("X", 2, t if blk == "L" else a + t) for blk, t in x2]
+        y_order.append(("chi",))
+        y_order += [("X", 1, t) for _, t in top_band]
+        y_order += [("X", 3, t) for t in range(a)]
+        y_order += [(blk, 1, t) for blk, t in reversed(top_zone)]
+        for y, key in enumerate(y_order):  # vertex indices follow y
+            if key == ("chi",):
+                x = m * row_width + (m - 1 - i)
+                chi.append(len(pts))
+            else:
+                x = xs[key]
+                groups.setdefault(f"{key[0]}_{i}_{key[1]}", []).append((key[2], len(pts)))
+            pts.append((x, i * row_height + y))
+    named = {name: tuple(v for _, v in sorted(members)) for name, members in groups.items()}
+    named["chi"] = tuple(chi)
+    return ConstructionInstance("thm4", PointSet.of(pts, dim=2), STRIPS,
+                                {"m": m, "a": a, "b": b}, named,
+                                theorem_scale=m in strips.CERTIFIED_M)
+
+
+def reference_from_edges(n: int, edges) -> Hypergraph:
+    """`Hypergraph.from_edges` with every edge sorted and deduplicated,
+    canonical or not; the result passes full validation."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    canon = set()
+    for e in edges:
+        t = tuple(sorted(set(e)))
+        if t:
+            if t[0] < 0 or t[-1] >= n:
+                raise ValueError(f"edge {t} has a vertex outside [0, {n})")
+            canon.add(t)
+    return Hypergraph(n, tuple(sorted(canon)))

@@ -3,11 +3,13 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from polyshallow.cli import build_parser, main
+from polyshallow.formats import instance_from
 from polyshallow.geometry import PointSet, capture_edges, strip_union
 
 
@@ -83,6 +85,68 @@ def test_unread_options_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["generate", "thm3", "--k", "2", "--m", "40", "--s", "9"],
+     "generate thm3 does not read --m, --s"),
+    (["generate", "thm2", "--k", "5"], "generate thm2 does not read --k"),
+    (["embed", "--map", "pq-octants", "--vertices", "0..5", "--t", "7", "--chain", "2,4"],
+     "map pq-octants does not read --t, --chain"),
+    (["embed", "--map", "powers-octants", "--vertices", "0..5", "--t", "3", "--chain", "1,2"],
+     "map powers-octants reads --chain or --t, not both"),
+], ids=["thm3-m-s", "thm2-k", "pq-octants-t-chain", "powers-octants-t-and-chain"])
+def test_options_not_read_exit_code(tmp_path, capsys, argv, msg):
+    # an option the chosen construction or map ignores is an error, not dropped
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2 and out is None
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+
+POINTS_3D = {"format": 1, "dim": 3, "points": [[0, 1, 2], [3, "1/2", 1], [2, 2, 0]]}
+POINTS_4D = {"format": 1, "dim": 4, "points": [[0, 1, 2, 5], [3, "1/2", 1, 0], [2, 2, 0, 1]]}
+
+
+@pytest.mark.parametrize("argv, defaults, points", [
+    (["generate", "thm2"], ["--m", "12"], None),
+    (["generate", "thm3"], ["--k", "2"], None),
+    (["generate", "thm4"], ["--m", "22"], None),
+    (["generate", "thm5"], ["--k", "2"], None),
+    (["generate", "thm6"], ["--m", "22", "--k", "2", "--s", "2"], None),
+    (["embed", "--map", "powers-octants", "--vertices", "0..40"], ["--t", "2"], None),
+    (["embed", "--map", "pq-octants", "--vertices", "0..40"],
+     ["--p", "2", "--q", "3", "--M", "0"], None),
+    (["embed", "--map", "powers-bottomless", "--vertices", "0..40"], ["--t", "2", "--M", "0"],
+     None),
+    (["embed", "--map", "octants-pq"], ["--p", "2", "--q", "3"], POINTS_3D),
+    (["embed", "--map", "hextants-pqr"], ["--p", "2", "--q", "3", "--p3", "5"], POINTS_4D),
+], ids=["thm2", "thm3", "thm4", "thm5", "thm6", "powers-octants", "pq-octants",
+        "powers-bottomless", "octants-pq", "hextants-pqr"])
+def test_defaults_match_explicit_options(tmp_path, argv, defaults, points):
+    """Each option left out takes its default: the same document, byte for
+    byte, as with the default given."""
+    if points is not None:
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points))
+        argv = [*argv, "--points", str(path)]
+    texts = []
+    for extra in ([], defaults):
+        out = tmp_path / "out.json"
+        assert main([*argv, *extra, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("which, m", [("thm2", 4), ("thm4", 10)])
+def test_generated_instance_keeps_int_coordinates(tmp_path, which, m):
+    """generate -> formats.instance_from: the integer coordinates the
+    builders emit are read back as ints, not as Fractions."""
+    out = tmp_path / "inst.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # thm4 at m = 10 is uncertified
+        assert main(["generate", which, "--m", str(m), "--out", str(out)]) == 0
+    inst = instance_from(json.loads(out.read_text()))
+    assert inst.n > 0 and {type(c) for pt in inst.points.points for c in pt} == {int}
 
 
 def test_readme_examples_parse():

@@ -9,7 +9,22 @@ from hypothesis import strategies as st
 
 from conftest import oracle_capture_sets, rand_points, rand_points_distinct
 from polyshallow import formats
+from polyshallow.constructions import (
+    build_bottomless_no3shs,
+    build_cross_lb,
+    build_dual_strip_lb,
+    build_sstrips_lb,
+    build_strip_no2shs,
+)
 from polyshallow.core import VertexSet
+from polyshallow.embeddings import (
+    chain_explicit,
+    chain_of_powers,
+    map_powers_to_bottomless,
+    map_powers_to_octants,
+    map_pq_to_octants,
+    map_rectangles_to_tfin,
+)
 from polyshallow.geometry import (
     BOTTOMLESS,
     CROSS_UNION,
@@ -179,13 +194,20 @@ class _Half(Fraction):
 
 
 @pytest.mark.parametrize("x, want", [
-    (Fraction(3, 4), Fraction(3, 4)), (_Half(1, 2), Fraction(1, 2)), (7, Fraction(7)),
-    (True, Fraction(1)), ("-5/10", Fraction(-1, 2)), ("4", Fraction(4)),
+    (Fraction(3, 4), Fraction(3, 4)), (_Half(1, 2), Fraction(1, 2)), (7, 7),
+    (True, TypeError), ("-5/10", Fraction(-1, 2)), ("4", Fraction(4)),
 ], ids=["fraction", "fraction-subclass", "int", "bool", "string", "int-string"])
 def test_rat_coerces(x, want):
+    """An int and a Fraction come back as they are, a string becomes a
+    Fraction, and a bool is not a coordinate."""
+    if want is TypeError:
+        with pytest.raises(TypeError, match="not an exact coordinate"):
+            rat(x)
+        return
     got = rat(x)
-    assert got == want and isinstance(got, Fraction)
-    if isinstance(x, Fraction):
+    assert got == want
+    assert type(got) is int if type(x) is int else isinstance(got, Fraction)
+    if isinstance(x, (int, Fraction)):
         assert got is x
 
 
@@ -195,6 +217,51 @@ def test_rat_rejects(x):
         rat(x)
     with pytest.raises(TypeError, match="not an exact coordinate"):
         PointSet.of([(0, x)])
+
+
+def test_documents_reject_bool_coordinates():
+    """JSON true and false are not coordinates: the readers turn the
+    TypeError of `rat` into the ValueError of a bad document."""
+    points = json.loads('{"format": 1, "dim": 2, "points": [[true, 0], [2, 3]]}')
+    with pytest.raises(ValueError, match="not an exact coordinate: True"):
+        formats.points_from(points)
+    strips = json.loads('{"format": 1, "strips": [{"axis": "x", "lo": false, "hi": 2}]}')
+    with pytest.raises(ValueError, match="not an exact coordinate: False"):
+        formats.strips_from(strips)
+
+
+# Every builder and forward map, with the coordinate types it may emit:
+# the constructions on integer grids emit ints only.
+EXACT_PRODUCERS = {
+    "thm2": ({int}, lambda: build_bottomless_no3shs(4).points.points),
+    "thm3": ({int, Fraction}, lambda: [(s.lo, s.hi) for s in build_dual_strip_lb(3)[0]]),
+    "thm4": ({int}, lambda: build_strip_no2shs(10).points.points),
+    "thm5": ({int, Fraction}, lambda: build_cross_lb(3).points.points),
+    "thm6": ({int}, lambda: build_sstrips_lb(2, 2, build_strip_no2shs(10)).points.points),
+    "powers-octants": ({int, Fraction}, lambda: map_powers_to_octants(
+        range(60), chain_of_powers(3)).points.points),
+    "chain-octants": ({int, Fraction}, lambda: map_powers_to_octants(
+        range(60), chain_explicit([1, 2, 6, 12])).points.points),
+    "pq-octants": ({int, Fraction}, lambda: map_pq_to_octants(range(60), 2, 3, [0])[0].points),
+    "pq-octants-M": ({int, Fraction}, lambda: map_pq_to_octants(
+        range(60), 2, 3, [0, 1, 5])[0].points),
+    "powers-bottomless": ({int, Fraction}, lambda: map_powers_to_bottomless(
+        range(60), 2, [0])[0].points),
+    "powers-bottomless-M": ({int, Fraction}, lambda: map_powers_to_bottomless(
+        range(60), 3, [0, 2])[0].points),
+    "rectangles-tfin": ({int, Fraction}, lambda: map_rectangles_to_tfin(
+        PointSet.of([(0, 1), (Fraction(1, 2), 3), (2, Fraction(-1, 3))]))[0].points),
+}
+
+
+@pytest.mark.filterwarnings("ignore:strips construction at m=10")
+@pytest.mark.parametrize("name", EXACT_PRODUCERS)
+def test_producers_emit_exact_coordinates(name):
+    """Coordinates are exact rationals of type exactly int or Fraction:
+    never a float, a bool or a subclass."""
+    allowed, produce = EXACT_PRODUCERS[name]
+    types = {type(c) for pt in produce() for c in pt}
+    assert types and types <= allowed
 
 
 def test_dual_strips_thm3_base():

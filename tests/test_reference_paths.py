@@ -5,10 +5,16 @@ in conftest: the same hypergraph, labels and edge-label map (in insertion
 order), the same reports, difference lists and correspondences, and the
 same points, boxes, correspondence and chain digits (the CLI documents
 byte for byte). Also the corner-divisibility check on labellings that
-break it, and the bases each power kind rejects."""
+break it, and the bases each power kind rejects. Then the three fast
+paths of the construction set-up: the strips row laid out once against
+the per-row layout (documents byte for byte), `Hypergraph.from_edges`
+against sorting every edge, and point sets on int coordinates against the
+same sets on Fractions."""
 import itertools
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +23,8 @@ from hypothesis import strategies as st
 from conftest import (
     rand_points,
     reference_build_ap_hypergraph,
+    reference_build_strip_no2shs,
+    reference_from_edges,
     reference_chain_digits,
     reference_corner_labels,
     reference_enumerate_differences,
@@ -29,6 +37,7 @@ from conftest import (
 from polyshallow import formats
 from polyshallow.apgraphs import APSpec, build_ap_hypergraph, enumerate_differences
 from polyshallow.cli import main
+from polyshallow.constructions import GadgetParams, build_strip_no2shs
 from polyshallow.core import Hypergraph
 from polyshallow.embeddings import (
     Correspondence,
@@ -500,3 +509,94 @@ def test_cli_embed_point_maps_match_reference(tmp_path, dim, argv, want):
     out = tmp_path / "embed.json"
     assert main(["embed", "--map", *argv, "--points", str(path), "--out", str(out)]) == 0
     assert out.read_text() == formats.dumps(want(pts), pretty=False)
+
+
+# -- construction set-up: strips rows, canonical edges, int coordinates -------
+
+def _valid_strip_m(m):
+    try:
+        GadgetParams.for_m(m)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m", [m for m in range(10, 41) if _valid_strip_m(m)])
+def test_strip_layout_matches_reference(m):
+    """One row laid out once and moved per row, with the stretch index
+    rounded on an exact quotient: the same document and the same group
+    order as each row laid out on its own with a float quotient."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # every m but 22 is uncertified
+        inst = build_strip_no2shs(m)
+    ref = reference_build_strip_no2shs(m)
+    assert (formats.dumps(formats.instance_doc(inst))
+            == formats.dumps(formats.instance_doc(ref)))
+    assert list(inst.groups) == list(ref.groups)
+
+
+# how an edge reaches from_edges; each call builds a fresh iterable
+_EDGE_FORMS = {
+    "increasing-tuple": lambda e: tuple(sorted(set(e))),
+    "tuple": tuple,
+    "list": list,
+    "generator": lambda e: (v for v in e),
+}
+
+
+def _from_edges_input(rng):
+    """(n, edges as (form, vertices)): unsorted vertices with repeats,
+    repeated edges, empty edges and, now and then, a vertex out of range."""
+    n = rng.randint(0, 7)
+    raw = []
+    for _ in range(rng.randint(0, 10)):
+        if raw and rng.random() < 0.2:
+            raw.append(rng.choice(raw))  # a repeated edge
+            continue
+        e = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))] if n else []
+        if rng.random() < 0.05:
+            e.insert(rng.randint(0, len(e)), rng.choice([-1, n]))
+        raw.append((rng.choice(list(_EDGE_FORMS)), e))
+    return n, raw
+
+
+def test_from_edges_matches_reference_seeded():
+    """Taking a strictly increasing tuple as it is gives the same
+    hypergraph, or the same error text, as sorting every edge; the edges
+    come as a list or as one generator."""
+    rng = random.Random(16001)
+    forms = set()
+    for _ in range(1500):
+        n, raw = _from_edges_input(rng)
+        forms.update(form for form, _ in raw)
+        for wrap in (list, iter):
+            got, want = (_outcome(fn, n, wrap([_EDGE_FORMS[form](e) for form, e in raw]))
+                         for fn in (Hypergraph.from_edges, reference_from_edges))
+            assert got == want
+    assert forms == set(_EDGE_FORMS)
+    assert _outcome(Hypergraph.from_edges, 3, [(0, 3)]) == \
+        "ValueError: edge (0, 3) has a vertex outside [0, 3)"
+    assert _outcome(Hypergraph.from_edges, -1, []) == \
+        "ValueError: vertex count must be non-negative"
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f"{f.tag}-{f.s}")
+def test_int_points_match_fraction_points(fam):
+    """A point set whose integral coordinates stay ints (halves mixed in)
+    against the same set on Fractions: equal with equal hashes, the same
+    rank tables, capture hypergraph and document bytes."""
+    rng = random.Random(f"ints/{fam.tag}/{fam.s}")
+    types = set()
+    for _ in range(30):
+        twice = [[rng.randint(-12, 12) for _ in range(fam.dim)] for _ in range(rng.randint(1, 7))]
+        ints = PointSet.of([[v // 2 if v % 2 == 0 else Fraction(v, 2) for v in pt]
+                            for pt in twice])
+        fracs = PointSet.of([[Fraction(v, 2) for v in pt] for pt in twice])
+        types.update(type(c) for pt in ints.points for c in pt)
+        assert {type(c) for pt in fracs.points for c in pt} == {Fraction}
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert ints.orders == fracs.orders and ints.ranks == fracs.ranks
+        assert capture_edges(ints, fam) == capture_edges(fracs, fam)
+        assert (formats.dumps(formats.points_doc(ints))
+                == formats.dumps(formats.points_doc(fracs)))
+    assert types == {int, Fraction}

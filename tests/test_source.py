@@ -19,6 +19,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_true_division():
+    """Coordinates are exact rationals, and most are plain ints: `int / int`
+    would turn one into a float unseen. The package divides with `//` or
+    builds a Fraction, so no `/` operator appears in it."""
+    root = Path(polyshallow.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert found == []
+
+
 def test_imports_are_stdlib_or_polyshallow():
     """The package has no runtime dependencies (`dependencies = []` in
     pyproject.toml): every import names a standard-library module or
