@@ -72,96 +72,101 @@ def _coloring(spec: str, k: int, n: int, seed: int) -> ColorAssignment:
     return formats.coloring_from(_read(spec))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", help="write the result document here instead of stdout")
-    output.add_argument("--pretty", action="store_true", help="human-readable JSON")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-nodes", type=int, default=10**7)
-    budget.add_argument("--budget-millis", type=int, default=None)
+def _arg(*flags, **kw) -> tuple:
+    """One `add_argument` call of a subcommand, as data."""
+    return flags, kw
 
+
+# Every subcommand takes the output options, and only the options it reads
+# besides: a seed for randomized inputs, solver budgets, and its own.
+_OUTPUT = (_arg("--out", help="write the result document here instead of stdout"),
+           _arg("--pretty", action="store_true", help="human-readable JSON"))
+_SEED = (_arg("--seed", type=int, default=0, help="seed for randomized inputs"),)
+_BUDGET = (_arg("--budget-nodes", type=int, default=10**7),
+           _arg("--budget-millis", type=int, default=None))
+
+_SUBCOMMANDS = {  # name -> (help, arguments in order)
+    "generate": ("build a named construction", (
+        _arg("which", choices=["thm2", "thm3", "thm4", "thm5", "thm6"]),
+        _arg("--m", type=int, help="thm2, thm4, thm6: default 12 for thm2, else 22"),
+        _arg("--k", type=int, help="thm3, thm5, thm6: default 2"),
+        _arg("--s", type=int, help="thm6: default 2"))),
+    "capture": ("range-capture hypergraph of a point set", (
+        _arg("--family", required=True),
+        _arg("--s", type=int, default=1),
+        _arg("--points", required=True),
+        _arg("--exact", type=int),
+        _arg("--at-least", type=int))),
+    "dual": ("dual hypergraph of a strip list", (
+        _arg("--strips", required=True),)),
+    "ap": ("arithmetic-progression hypergraph", (
+        _arg("--spec", required=True),
+        _arg("--vertices", required=True, help="JSON list or 'lo..hi'"))),
+    "embed": ("run one of the structure-preserving maps", (
+        _arg("--map", required=True, choices=[
+            "powers-octants", "pq-octants", "octants-pq", "hextants-pqr",
+            "powers-bottomless", "rectangles-tfin"],
+             help="a forward map preserves the progressions with these differences d:"
+                  " powers-octants 1 and the chain (infinite);"
+                  " pq-octants every d if M = 0, else 1 and p^i q^j, i, j >= 1 (infinite);"
+                  " powers-bottomless t^i, i >= 0 if M = 0, else i >= 1 (finite;"
+                  " an explicit set, as the powers kind adds d = 1)"),
+        _arg("--vertices", help="JSON list or 'lo..hi'"),
+        _arg("--points"),
+        _arg("--t", type=int, help="default 2"),
+        _arg("--p", type=int, help="default 2"),
+        _arg("--q", type=int, help="default 3"),
+        _arg("--p3", type=int, help="default 5"),
+        _arg("--chain", help="comma-separated divisor chain, instead of --t"),
+        _arg("--M", help="comma-separated offsets, default 0"))),
+    "verify-embedding": ("check edge preservation", (
+        _arg("--hypergraph", required=True),
+        _arg("--labels", required=True, help="JSON list of vertex labels"),
+        _arg("--points", required=True),
+        _arg("--family", required=True),
+        _arg("--s", type=int, default=1),
+        _arg("--correspondence", required=True))),
+    "solve-color": ("polychromatic k-coloring search", _BUDGET + (
+        _arg("--hypergraph", required=True),
+        _arg("--k", type=int, required=True),
+        _arg("--at-least", type=int, help="restrict to edges of size >= m first"))),
+    "solve-hitting": ("c-shallow hitting set search", _BUDGET + (
+        _arg("--hypergraph", required=True),
+        _arg("--c", type=int, required=True))),
+    "min-c": ("smallest c with a c-shallow hitting set", _BUDGET + (
+        _arg("--hypergraph", required=True),)),
+    "min-m": ("smallest m with H_{>=m} k-colorable", _BUDGET + (
+        _arg("--hypergraph", required=True),
+        _arg("--k", type=int, required=True))),
+    "falsify": ("defeat a candidate shallow hitting set", _SEED + (
+        _arg("which", choices=["thm2", "thm4"]),
+        _arg("--instance", required=True),
+        _arg("--set", required=True, dest="candidate"))),
+    "witness": ("defeat a candidate coloring", _SEED + (
+        _arg("which", choices=["thm3", "thm5"]),
+        _arg("--k", type=int, required=True),
+        _arg("--coloring", required=True))),
+    "pipeline": ("shrink/hit/delete polychromatic coloring", _BUDGET + (
+        _arg("--points", required=True),
+        _arg("--family", required=True),
+        _arg("--s", type=int, default=1),
+        _arg("--k", type=int, required=True),
+        _arg("--c", type=int, required=True))),
+}
+
+
+def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `cmd` alone. The usage line
+    of `cmd` alone still names every subcommand, so both builds print the
+    same help and errors for a command line that starts with `cmd`."""
     ap = argparse.ArgumentParser(prog="polyshallow")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def add_parser(name, *parents, **kw):
-        """A subcommand with the output options and the given parents."""
-        return sub.add_parser(name, parents=[output, *parents], **kw)
-
-    g = add_parser("generate", help="build a named construction")
-    g.add_argument("which", choices=["thm2", "thm3", "thm4", "thm5", "thm6"])
-    g.add_argument("--m", type=int, help="thm2, thm4, thm6: default 12 for thm2, else 22")
-    g.add_argument("--k", type=int, help="thm3, thm5, thm6: default 2")
-    g.add_argument("--s", type=int, help="thm6: default 2")
-
-    c = add_parser("capture", help="range-capture hypergraph of a point set")
-    c.add_argument("--family", required=True)
-    c.add_argument("--s", type=int, default=1)
-    c.add_argument("--points", required=True)
-    c.add_argument("--exact", type=int)
-    c.add_argument("--at-least", type=int)
-
-    d = add_parser("dual", help="dual hypergraph of a strip list")
-    d.add_argument("--strips", required=True)
-
-    a = add_parser("ap", help="arithmetic-progression hypergraph")
-    a.add_argument("--spec", required=True)
-    a.add_argument("--vertices", required=True, help="JSON list or 'lo..hi'")
-
-    e = add_parser("embed", help="run one of the structure-preserving maps")
-    e.add_argument("--map", required=True, choices=[
-        "powers-octants", "pq-octants", "octants-pq", "hextants-pqr",
-        "powers-bottomless", "rectangles-tfin"])
-    e.add_argument("--vertices", help="JSON list or 'lo..hi'")
-    e.add_argument("--points")
-    e.add_argument("--t", type=int, help="default 2")
-    e.add_argument("--p", type=int, help="default 2")
-    e.add_argument("--q", type=int, help="default 3")
-    e.add_argument("--p3", type=int, help="default 5")
-    e.add_argument("--chain", help="comma-separated divisor chain, instead of --t")
-    e.add_argument("--M", help="comma-separated offsets, default 0")
-
-    v = add_parser("verify-embedding", help="check edge preservation")
-    v.add_argument("--hypergraph", required=True)
-    v.add_argument("--labels", required=True, help="JSON list of vertex labels")
-    v.add_argument("--points", required=True)
-    v.add_argument("--family", required=True)
-    v.add_argument("--s", type=int, default=1)
-    v.add_argument("--correspondence", required=True)
-
-    sc = add_parser("solve-color", budget, help="polychromatic k-coloring search")
-    sc.add_argument("--hypergraph", required=True)
-    sc.add_argument("--k", type=int, required=True)
-    sc.add_argument("--at-least", type=int, help="restrict to edges of size >= m first")
-
-    sh = add_parser("solve-hitting", budget, help="c-shallow hitting set search")
-    sh.add_argument("--hypergraph", required=True)
-    sh.add_argument("--c", type=int, required=True)
-
-    mc = add_parser("min-c", budget, help="smallest c with a c-shallow hitting set")
-    mc.add_argument("--hypergraph", required=True)
-
-    mm = add_parser("min-m", budget, help="smallest m with H_{>=m} k-colorable")
-    mm.add_argument("--hypergraph", required=True)
-    mm.add_argument("--k", type=int, required=True)
-
-    f = add_parser("falsify", seed, help="defeat a candidate shallow hitting set")
-    f.add_argument("which", choices=["thm2", "thm4"])
-    f.add_argument("--instance", required=True)
-    f.add_argument("--set", required=True, dest="candidate")
-
-    w = add_parser("witness", seed, help="defeat a candidate coloring")
-    w.add_argument("which", choices=["thm3", "thm5"])
-    w.add_argument("--k", type=int, required=True)
-    w.add_argument("--coloring", required=True)
-
-    p = add_parser("pipeline", budget, help="shrink/hit/delete polychromatic coloring")
-    p.add_argument("--points", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    names = {} if cmd is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
+    sub = ap.add_subparsers(dest="cmd", required=True, **names)
+    for name, (help_text, arguments) in _SUBCOMMANDS.items():
+        if cmd in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, kw in _OUTPUT + arguments:
+                p.add_argument(*flags, **kw)
     return ap
 
 
@@ -348,7 +353,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the chosen subcommand's parser; all of them for --help and typos
+    args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         if args.cmd == "generate":
             return _cmd_generate(args)

@@ -89,7 +89,7 @@ class ColorAssignment:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one color")
-        if any(c < 0 or c >= self.k for c in self.colors):
+        if self.colors and (min(self.colors) < 0 or max(self.colors) >= self.k):
             raise ValueError("color out of range")
 
 
@@ -171,10 +171,11 @@ def is_polychromatic(h: Hypergraph, chi: ColorAssignment) -> CheckResult:
     if len(chi.colors) != h.n:
         raise ValueError("coloring length does not match vertex count")
     full = (1 << chi.k) - 1
+    bit = [1 << c for c in chi.colors]  # each vertex's colour as a bit
     for e in h.edges:
         seen = 0
         for v in e:
-            seen |= 1 << chi.colors[v]
+            seen |= bit[v]
         if seen != full:
             for c in range(chi.k):
                 if not (seen >> c) & 1:

@@ -11,11 +11,11 @@ the reflection-equivalent layout for this orientation.
 The reverse maps label octant points by two pairwise-coprime bases and
 hextant points by three, through one labelling for any number of bases.
 
-The three forward maps compute on ints and build each coordinate as one
-exact Fraction from its final numerator and denominator: the squares
-recursion keeps every corner as an int over its square's side 2^-shift,
-and the valuation maps write 1/g - 1 as (1 - g)/g and 1 - 1/n as
-(n - 1)/n.
+The three forward maps compute on ints and build each coordinate once
+from its final numerator and denominator, as an int when it is integral
+and else as an exact Fraction: the squares recursion keeps every corner
+as an int over its square's side 2^-shift, and the valuation maps write
+1/g - 1 as (1 - g)/g and 1 - 1/n as (n - 1)/n.
 """
 from __future__ import annotations
 
@@ -33,12 +33,20 @@ from .geometry import (
     TFIN_SLABS,
     PointSet,
     RangeFamily,
+    Rational,
     capture_edges,
     first_uncaptured,
     rank_cuts,
 )
 
 Frac = Fraction
+
+
+def _exact(num: int, den: int) -> Rational:
+    """num/den (den > 0) as an int when den divides num, else as a
+    Fraction."""
+    q, r = divmod(num, den)
+    return Frac(num, den) if r else q
 
 
 @dataclass(frozen=True)
@@ -216,7 +224,9 @@ def map_powers_to_octants(s_vertices: Iterable[int], chain: _Chain) -> SquareLay
     pairs = []
     for i, n in enumerate(svals):
         yw, zs, _ = boxes[n]
-        pts.append((Frac(n), yw, zs))
+        # the root square's corner (0, 0) is the one integral corner: every
+        # other square lies strictly inside the root, north-east of it
+        pts.append((n, yw, zs) if n else (0, 0, 0))
         pairs.append((n, i))
     return SquareLayout(
         PointSet.of(pts, dim=3),
@@ -247,9 +257,9 @@ def map_pq_to_octants(
     if ms == [0]:
         for n in svals:
             g1, g2 = valuation(n, p), valuation(n, q)
-            y = Frac(-1) if g1 is None else (Frac(1) if g1 == 0 else Frac(1 - g1, g1))
-            z = Frac(-1) if g2 is None else (Frac(1) if g2 == 0 else Frac(1 - g2, g2))
-            pts.append((Frac(n), y, z))
+            y = -1 if g1 is None else (1 if g1 == 0 else _exact(1 - g1, g1))
+            z = -1 if g2 is None else (1 if g2 == 0 else _exact(1 - g2, g2))
+            pts.append((n, y, z))
     else:
         if any(not 0 <= mu < p * q for mu in ms):
             raise ValueError("M must lie in [0, pq) for the residue-square layout")
@@ -261,9 +271,9 @@ def map_pq_to_octants(
             r = n % (p * q)
             base = n - r
             g1, g2 = valuation(base, p), valuation(base, q)
-            y = Frac(-1 - 2 * r) if g1 is None else Frac(1 - g1 - 2 * r * g1, g1)
-            z = Frac(2 * r - 1) if g2 is None else Frac(1 - g2 + 2 * r * g2, g2)
-            pts.append((Frac(n), y, z))
+            y = -1 - 2 * r if g1 is None else _exact(1 - g1 - 2 * r * g1, g1)
+            z = 2 * r - 1 if g2 is None else _exact(1 - g2 + 2 * r * g2, g2)
+            pts.append((n, y, z))
     pairs = tuple((n, i) for i, n in enumerate(svals))
     return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "octants", pairs)
 
@@ -359,6 +369,13 @@ def map_powers_to_bottomless(
     difference t^i (i >= 1, plus d=1 when M={0}) admissible for M is
     bottomless-captured over the image.
 
+    So with M = {0} the map preserves the `powers` kind's D = {t^i : i >= 0},
+    and with M != {0} it preserves D = {t^i : i >= 1}, an explicit set. The
+    `powers` kind also holds d = 1, whose progressions the map does not
+    claim, and `verify_edge_preservation` reports them failed: at S = 0..30
+    and M = {0, 1}, on (0, 1, 2) for t = 2 and on (0, 1, 2, 3) for t = 3,
+    where the explicit set is all-preserved for both.
+
     y is 1/t-valuation with sentinel 2 for valuation 0; x(0) is placed
     below every 1 - 1/n to keep x injective (1 - 1/1 = 0 would collide
     with the textbook phi(0) = (0,0)).
@@ -375,23 +392,23 @@ def map_powers_to_bottomless(
     if ms == [0]:
         for n in svals:
             if n == 0:
-                pts.append((Frac(-1), Frac(0)))
+                pts.append((-1, 0))
                 continue
             tv = valuation(n, t)
-            y = Frac(2) if tv == 0 else Frac(1, tv)
-            pts.append((Frac(n - 1, n), y))
+            y = 2 if tv == 0 else _exact(1, tv)
+            pts.append((_exact(n - 1, n), y))
     else:
         if any(not 0 <= mu < t for mu in ms):
             raise ValueError("M must lie in [0, t) for the residue-box layout")
         for n in svals:
             if n == 0:
-                pts.append((Frac(0), Frac(0)))
+                pts.append((0, 0))
                 continue
             r = n % t
             base = n - r
             tv = valuation(base, t)  # None only when n == r
-            y = Frac(0) if tv is None else Frac(1, tv)
-            pts.append((Frac((2 * r + 1) * n - 1, n), y))
+            y = 0 if tv is None else _exact(1, tv)
+            pts.append((_exact((2 * r + 1) * n - 1, n), y))
     pairs = tuple((n, i) for i, n in enumerate(svals))
     return PointSet.of(pts, dim=2), Correspondence("numbers-to-points", "bottomless", pairs)
 

@@ -168,18 +168,21 @@ def instance_from(doc: dict) -> ConstructionInstance:
     if not _is_int(s):
         raise ValueError(f"s must be an integer, not {s!r}")
     family = RangeFamily(_field(fam, "tag", str), s)
-    params = {
-        k: (tuple(v) if isinstance(v, list) else v)
-        for k, v in _field(doc, "params", dict).items()
-    }
+    params = _field(doc, "params", dict)
+    for k, v in params.items():
+        if not _is_int(v) and not (isinstance(v, list) and all(map(_is_int, v))):
+            raise ValueError(f"{k} must be an integer or a list of integers, not {v!r}")
+    theorem_scale = doc["theorem_scale"]
+    if not isinstance(theorem_scale, bool):
+        raise ValueError(f"theorem_scale must be a JSON bool, not {theorem_scale!r}")
     groups = _field(doc, "groups", dict)
     return ConstructionInstance(
         doc["kind"],
         _point_set(doc),
         family,
-        params,
+        {k: (tuple(v) if isinstance(v, list) else v) for k, v in params.items()},
         {k: tuple(_ints(groups, k)) for k in groups},
-        doc["theorem_scale"],
+        theorem_scale,
     )
 
 

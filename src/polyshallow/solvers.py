@@ -282,13 +282,16 @@ class _Levels:
         self.n = h.n
         self.edges = edges = sorted(h.edges, key=len)  # stable: canonical order within a size
         self.bit = bit = [1 << v for v in range(h.n)]
-        self.masks = [sum(map(bit.__getitem__, e)) for e in edges]
-        self.is_edge = set(self.masks)
-        self.sub_size = [0] * len(edges)  # per edge, its witness
         self.degree = degree = [0] * h.n  # in H_>=m, not in its minimal edges
-        for e in edges:
+        self.masks = masks = []
+        for e in edges:  # each edge's bitmask and the degrees in one pass
+            mask = 0
             for v in e:
+                mask |= bit[v]
                 degree[v] += 1
+            masks.append(mask)
+        self.is_edge = set(masks)
+        self.sub_size = [0] * len(edges)  # per edge, its witness
         self.lo = 0  # edges[lo:] is H_>=m
 
     def _drop_below(self, m: int) -> int:

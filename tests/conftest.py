@@ -3,6 +3,7 @@ independent capture oracle (exhaustive threshold search over the
 coordinate grid), the reference shallow-hitting propagator with separate
 counters per edge, the reference colour path (minimal edges, degrees and
 size cut per call) and on it the per-m reference of the min-m scan, the
+per-colour range check and per-visit shift of the colouring checks, the
 reference progression builder and edge-preservation verifier, the
 reference tfin-slab prefix check, the per-base-count references of the
 power difference sets and the corner labellings, the
@@ -16,6 +17,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import settings
 
@@ -23,7 +25,13 @@ from polyshallow import solvers
 from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
 from polyshallow.constructions import ConstructionInstance, GadgetParams
 from polyshallow.constructions import strips
-from polyshallow.core import Hypergraph, VertexSet, is_polychromatic, restrict_at_least
+from polyshallow.core import (
+    Hypergraph,
+    VertexSet,
+    ViolationWitness,
+    is_polychromatic,
+    restrict_at_least,
+)
 from polyshallow.embeddings import (
     Correspondence,
     PreservationReport,
@@ -287,6 +295,39 @@ def reference_min_m(h: Hypergraph, k: int, budget: solvers.SolveBudget) -> solve
         m += 1
         if m > h.max_edge_size + 1:  # empty edge set is vacuously colorable
             raise AssertionError("vacuous restriction must be SAT")
+
+
+# ---------------------------------------------------------------------------
+# Reference colouring checks: one comparison pair per colour, one shift per
+# vertex visit
+# ---------------------------------------------------------------------------
+
+def reference_coloring(k: int, colors) -> SimpleNamespace:
+    """The checks of `ColorAssignment(k, colors)` with a per-colour range
+    test; the colouring comes back as a plain record, so building it runs
+    no production check."""
+    if k < 1:
+        raise ValueError("need at least one color")
+    if any(c < 0 or c >= k for c in colors):
+        raise ValueError("color out of range")
+    return SimpleNamespace(k=k, colors=tuple(colors))
+
+
+def reference_is_polychromatic(h: Hypergraph, chi) -> bool | ViolationWitness:
+    """`is_polychromatic` reading `chi.colors` and shifting once per vertex
+    visit."""
+    if len(chi.colors) != h.n:
+        raise ValueError("coloring length does not match vertex count")
+    full = (1 << chi.k) - 1
+    for e in h.edges:
+        seen = 0
+        for v in e:
+            seen |= 1 << chi.colors[v]
+        if seen != full:
+            for c in range(chi.k):
+                if not (seen >> c) & 1:
+                    return ViolationWitness(e, "missing-color", c)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polyshallow.cli import build_parser, main
+from polyshallow.cli import _SUBCOMMANDS, build_parser, main
 from polyshallow.formats import instance_from
 from polyshallow.geometry import PointSet, capture_edges, strip_union
 
@@ -149,13 +149,59 @@ def test_generated_instance_keeps_int_coordinates(tmp_path, which, m):
     assert inst.n > 0 and {type(c) for pt in inst.points.points for c in pt} == {int}
 
 
-def test_readme_examples_parse():
+def _parse_output(capsys, parse, argv):
+    """What `parse(argv)` prints, and its exit code: argparse exits after
+    printing help and after an error."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each `polyshallow` example in the README."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    commands = [shlex.split(line.strip()) for line in
-                text.replace("\\\n", " ").splitlines() if line.startswith("    polyshallow ")]
+    return [shlex.split(line.strip())[1:] for line in
+            text.replace("\\\n", " ").splitlines() if line.startswith("    polyshallow ")]
+
+
+@pytest.mark.parametrize("cmd", list(_SUBCOMMANDS))
+def test_subcommand_parser_matches_full_parser(capsys, cmd):
+    """main builds only the parser of the subcommand argv names: its help
+    and its errors are those of the full parser. That includes the usage
+    line, which names every subcommand, of an unknown option after a
+    complete command line."""
+    argvs = [[cmd, "--help"], [cmd, "--no-such-option"], [cmd]]
+    argvs += [[*argv, "--no-such-option"] for argv in _readme_commands() if argv[0] == cmd]
+    for argv in argvs:
+        full = _parse_output(capsys, build_parser().parse_args, argv)
+        assert full[1 if argv[-1] == "--help" else 2]
+        assert _parse_output(capsys, build_parser(cmd).parse_args, argv) == full
+        assert _parse_output(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["no-such-command"], "error: argument cmd: invalid choice: 'no-such-command'"),
+    (["--out", "x", "generate"], "error: argument cmd: invalid choice: 'x'"),
+    ([], "error: the following arguments are required: cmd"),
+    (["--help"], None),
+], ids=["unknown", "option-first", "empty", "help"])
+def test_no_subcommand_named(capsys, argv, err):
+    """A command line that does not start with a subcommand gets the full
+    parser's help or error."""
+    got = _parse_output(capsys, main, argv)
+    assert got == _parse_output(capsys, build_parser().parse_args, argv)
+    if err is None:
+        assert all(f"    {cmd} " in got[1] for cmd in _SUBCOMMANDS)
+    else:
+        assert f"polyshallow: {err}" in got[2] and "{generate,capture," in got[2]
+
+
+def test_readme_examples_parse():
+    commands = _readme_commands()
     assert len(commands) >= 15
     for argv in commands:
-        build_parser().parse_args(argv[1:])
+        build_parser().parse_args(argv)
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -394,6 +440,16 @@ INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
     (INSTANCE, {"family": {"tag": "strip-union", "s": "2"}}, "s must be an integer"),
     (INSTANCE, {"groups": [1]}, "groups must be a JSON object"),
     (INSTANCE, {"groups": {"a": 5}}, "a must be a list of integers"),
+    (INSTANCE, {"params": {"m": "4"}, "theorem_scale": True},
+     "m must be an integer or a list of integers, not '4'"),
+    (INSTANCE, {"params": {"m": True}, "theorem_scale": True},
+     "m must be an integer or a list of integers, not True"),
+    (INSTANCE, {"params": {"m": 4.0}, "theorem_scale": True},
+     "m must be an integer or a list of integers, not 4.0"),
+    (INSTANCE, {"params": {"m": 4, "a": [1, False]}, "theorem_scale": True},
+     "a must be an integer or a list of integers, not [1, False]"),
+    (INSTANCE, {"theorem_scale": "false"}, "theorem_scale must be a JSON bool, not 'false'"),
+    (INSTANCE, {"theorem_scale": 1}, "theorem_scale must be a JSON bool, not 1"),
     (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2, "points": 5},
      "points must be a JSON list of lists"),
     (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2, "points": [5]},
@@ -412,7 +468,9 @@ INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
         "coloring-color-str", "coloring-k-str", "set-member-str", "spec-generator-list",
         "instance-params-int", "instance-family-str", "instance-tag-list",
         "instance-strip-count", "instance-s-str", "instance-groups-list",
-        "instance-group-int", "points-int", "point-int", "dim-float", "strip-int",
+        "instance-group-int", "instance-param-str", "instance-param-bool",
+        "instance-param-float", "instance-param-list-bool", "instance-scale-str",
+        "instance-scale-int", "points-int", "point-int", "dim-float", "strip-int",
         "capture-family-suffix", "capture-strip-count",
         "octants-pq-no-points", "hextants-pqr-no-points", "rectangles-tfin-no-points"])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, msg):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_coloring, reference_is_polychromatic
 from polyshallow.core import (
     ColorAssignment,
     Hypergraph,
@@ -115,6 +116,57 @@ def test_polychromatic_first_violating_edge_is_smallest():
     h = H(4, [[0, 1], [0, 2], [2, 3]])
     w = is_polychromatic(h, ColorAssignment(2, (0, 0, 0, 0)))
     assert w.edge == (0, 1)  # canonical edge order
+
+
+def _colouring_outcomes(h, k, colors):
+    """What building the colouring and checking h against it gives, in the
+    package and in the references: True, the witness, or the ValueError
+    text."""
+    out = []
+    for make, check in ((ColorAssignment, is_polychromatic),
+                        (reference_coloring, reference_is_polychromatic)):
+        try:
+            out.append(check(h, make(k, colors)))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_polychromatic_matches_reference_seeded():
+    rng = random.Random(71)
+    cases = [(H(0, []), k, ()) for k in (0, 1, 2)]  # empty colourings
+    cases += [(Hypergraph(2, ((), (0, 1))), 1, (0, 0)), (H(3, [[0, 1, 2]]), 1, (0, 0, 0))]
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        h = H(n, [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 6))])
+        k = rng.randint(0, 4)
+        length = n if rng.random() < 0.9 else rng.choice((n - 1, n + 1))
+        colors = [rng.randrange(max(k, 1)) for _ in range(length)]
+        if colors and rng.random() < 0.3:  # one colour out of range
+            colors[rng.randrange(length)] = rng.choice((-2, -1, k, k + 1))
+        cases.append((h, k, tuple(colors)))
+    seen = set()
+    for h, k, colors in cases:
+        got, want = _colouring_outcomes(h, k, colors)
+        assert got == want
+        seen.add(got if isinstance(got, (bool, str)) else got.kind)
+    assert seen == {True, "missing-color", "need at least one color", "color out of range",
+                    "coloring length does not match vertex count"}
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_polychromatic_matches_reference_property(data):
+    n = data.draw(st.integers(0, 8))
+    k = data.draw(st.integers(0, 4))
+    vertex = st.integers(0, max(n - 1, 0))
+    h = H(n, data.draw(st.lists(st.lists(vertex, min_size=1, max_size=6), max_size=8 if n else 0)))
+    length = data.draw(st.sampled_from((n, n, n, n + 1, max(n - 1, 0))))
+    colors = data.draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=length, max_size=length))
+    if colors and data.draw(st.booleans()):  # one colour out of range
+        colors[data.draw(st.integers(0, length - 1))] = data.draw(st.sampled_from((-1, k, k + 1)))
+    got, want = _colouring_outcomes(h, k, tuple(colors))
+    assert got == want
 
 
 def test_shallow_hitting_examples():

@@ -193,6 +193,20 @@ def test_bottomless_map_preserves():
     assert verify_edge_preservation(h2, labels2, pts2, BOTTOMLESS, corr2).ok
 
 
+@pytest.mark.parametrize("t, failing", [(2, [0, 1, 2]), (3, [0, 1, 2, 3])])
+def test_bottomless_map_general_m_needs_explicit_powers(t, failing):
+    """As documented: with M != {0} the map preserves D = {t^i : i >= 1};
+    the powers kind adds d = 1, and its progressions are reported failed."""
+    s = range(31)
+    pts, corr = map_powers_to_bottomless(s, t, [0, 1])
+    h, labels, _ = ap_edges(s, APSpec.powers(t, [0, 1], "finite"))
+    rep = verify_edge_preservation(h, labels, pts, BOTTOMLESS, corr)
+    assert rep.status == "failed" and [labels[v] for v in rep.failing_edge] == failing
+    ds = [t**i for i in range(1, 5)]
+    h, labels, _ = ap_edges(s, APSpec.explicit(ds, [0, 1], "finite"))
+    assert verify_edge_preservation(h, labels, pts, BOTTOMLESS, corr).ok
+
+
 def test_rectangles_to_tfin():
     p2 = PointSet.of([(3, 5), (0, 0), (1, 1)])
     p3, corr = map_rectangles_to_tfin(p2)

@@ -253,15 +253,21 @@ EXACT_PRODUCERS = {
         PointSet.of([(0, 1), (Fraction(1, 2), 3), (2, Fraction(-1, 3))]))[0].points),
 }
 
+FORWARD_MAPS = {"powers-octants", "chain-octants", "pq-octants", "pq-octants-M",
+                "powers-bottomless", "powers-bottomless-M"}
+
 
 @pytest.mark.filterwarnings("ignore:strips construction at m=10")
 @pytest.mark.parametrize("name", EXACT_PRODUCERS)
 def test_producers_emit_exact_coordinates(name):
     """Coordinates are exact rationals of type exactly int or Fraction:
-    never a float, a bool or a subclass."""
+    never a float, a bool or a subclass. The forward maps emit an integral
+    coordinate as an int, never as a Fraction with denominator 1."""
     allowed, produce = EXACT_PRODUCERS[name]
-    types = {type(c) for pt in produce() for c in pt}
-    assert types and types <= allowed
+    coords = [c for pt in produce() for c in pt]
+    assert coords and {type(c) for c in coords} <= allowed
+    if name in FORWARD_MAPS:
+        assert not [c for c in coords if type(c) is Fraction and c.denominator == 1]
 
 
 def test_dual_strips_thm3_base():

@@ -384,6 +384,9 @@ def test_solve_polychromatic_matches_reference():
         hs += [h, restrict_at_least(h, rng.randint(2, 5))]
     hs += [_uniform(rng, rng.randint(4, 10), r) for r in (2, 3, 4) for _ in range(10)]
     hs += [Hypergraph(3, ((), (0, 1))), Hypergraph(1, ((),)), Hypergraph.from_edges(4, [])]
+    # the solve benchmark's colour problems: H_>=5 of cross-union captures
+    hs += [restrict_at_least(capture_edges(rand_points_distinct(rng, n, 2), CROSS_UNION), 5)
+           for n in range(5, 13) for _ in range(2)]
     seen = set()
     for h in hs:
         for k in (1, 2, 3):
