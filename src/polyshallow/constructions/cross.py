@@ -13,17 +13,19 @@ _CENTERS = ((1, 2), (2, 4), (3, 1), (4, 3), (5, -2), (6, 0), (7, -3), (8, -1))
 
 def build_cross_lb(k: int) -> ConstructionInstance:
     """8 clusters of ceil(3k/4)-1 points each at the fixed centers, with
-    tight diagonal jitter keeping all coordinates globally distinct."""
+    tight diagonal jitter keeping all coordinates globally distinct. The
+    first point of the first cluster has no jitter and int coordinates."""
     if k < 2:
         raise ValueError("k must be >= 2")
     t = copies_per_base(k)
-    pts: list[tuple[Fraction, Fraction]] = []
+    pts: list[tuple[int | Fraction, int | Fraction]] = []
     groups: dict[str, tuple[int, ...]] = {}
     for ci, (cx, cy) in enumerate(_CENTERS):
         idxs = []
         for r in range(t):
-            jit = Fraction(r * 8 + ci, 100 * t)  # distinct across clusters too
-            pts.append((Fraction(cx) + jit, Fraction(cy) + jit))
+            step = r * 8 + ci  # distinct across clusters too
+            jit = Fraction(step, 100 * t) if step else 0
+            pts.append((cx + jit, cy + jit))
             idxs.append(len(pts) - 1)
         groups[f"cluster_{ci}"] = tuple(idxs)
     return ConstructionInstance(

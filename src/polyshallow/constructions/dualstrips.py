@@ -26,10 +26,10 @@ _PRIVATE_CELLS = {
 def _copies(t: int) -> tuple[Strip, ...]:
     """t copies of each base strip, base by base, nested outward by
     distinct tiny rational offsets so every intersection pattern of the
-    bases is preserved."""
-    eps = Fraction(1, 8 * (t + 1))
-    return tuple(Strip(axis, Fraction(lo) - r * eps, Fraction(hi) + r * eps)
-                 for axis, lo, hi in _BASES for r in range(t))
+    bases is preserved. The first copy is the base itself, with int
+    bounds."""
+    offsets = [0] + [Fraction(r, 8 * (t + 1)) for r in range(1, t)]
+    return tuple(Strip(axis, lo - d, hi + d) for axis, lo, hi in _BASES for d in offsets)
 
 
 def build_dual_strip_lb(k: int) -> tuple[list[Strip], Hypergraph, dict]:

@@ -19,6 +19,7 @@ skips the second check.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import ge, lt
 from typing import Iterable, Union
@@ -113,7 +114,9 @@ class VertexSet:
             raise ValueError("members must be sorted and duplicate-free")
 
     def __contains__(self, v: int) -> bool:
-        return v in set(self.members)
+        """Membership by bisection of the sorted members."""
+        i = bisect_left(self.members, v)
+        return i < len(self.members) and self.members[i] == v
 
     def __len__(self) -> int:
         return len(self.members)

@@ -27,12 +27,12 @@ bounded below, above, on both sides or not at all. `capture_edges`
 enumerates the boxes of each shape on int bitmasks of point indices (runs,
 down-sets and up-sets of rank groups, intersected as ints; strip unions
 unite them) and turns each distinct mask into a sorted edge only at the
-end. `capture_contains` tests one subset: the smallest box of each shape
-that holds it, scanning only the narrowest rank window, or for unions of
-strips a cover search over the maximal runs of members. `first_uncaptured`
-tests a batch of edges of a one-shape family on the cut masks of
-`rank_cuts`, built once per bounded axis. Every operation returns
-canonically sorted, deterministic output.
+end, by byte-table lookups. `capture_contains` tests one subset: the
+smallest box of each shape that holds it, scanning only the narrowest
+rank window, or for unions of strips a cover search over the maximal runs
+of members. `first_uncaptured` tests a batch of edges of a one-shape
+family on the cut masks of `rank_cuts`, built once per bounded axis.
+Every operation returns canonically sorted, deterministic output.
 """
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, compress
-from operator import le, or_
+from itertools import accumulate, chain
+from operator import getitem, le, or_
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .core import Hypergraph, VertexSet, _unchecked
@@ -52,10 +53,11 @@ Point = tuple[Rational, ...]  # a tuple of exact rationals (int or Fraction)
 
 # The family table: how each family's ranges bound each axis, as the
 # shapes of the boxes they are made of. Bit _LO bounds an axis below, bit
-# _UP above. A strip-union or cross-union range is a union of strips.
+# _UP above. A strip-union or cross-union range is a union of strips. The
+# table is read-only, as every module-level table here is.
 _LO, _UP = 1, 2
 _FREE, _TWO = 0, _LO | _UP
-_BOXES = {
+_BOXES = MappingProxyType({
     "bottomless": ((_TWO, _UP),),
     "strips": ((_TWO, _FREE), (_FREE, _TWO)),
     "strip-union": ((_TWO, _FREE), (_FREE, _TWO)),
@@ -64,7 +66,7 @@ _BOXES = {
     "octants": ((_LO, _UP, _UP),),
     "tfin-slabs": ((_TWO, _UP, _UP),),
     "hextants": ((_LO, _UP, _UP, _UP),),
-}
+})
 
 
 def rat(x) -> Rational:
@@ -218,12 +220,30 @@ def _meet(masks, cuts) -> set[int]:
     return out
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+def _byte_members(j: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte value b, the members that b stands for as byte j of a
+    mask: the points 8j + i for the set bits i of b, ascending."""
+    return tuple(tuple(8 * j + i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-def _members(mask: int, indices: range) -> tuple[int, ...]:
-    """The set bits of mask, ascending."""
-    return tuple(compress(indices, bin(mask)[:1:-1].encode().translate(_BITS)))
+# _BYTE_MEMBERS[j][b]: the members of byte value b at byte j of a mask, for
+# the first 64 points; built once at import and never changed.
+_BYTE_MEMBERS = tuple(map(_byte_members, range(8)))
+
+
+def _members(masks: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """The set bits of each mask over n points, ascending, as one tuple per
+    mask. Each byte of a mask is looked up once in a table of the members
+    it stands for (`_BYTE_MEMBERS`, extended for this call beyond 64
+    points), and the pieces are chained. Up to 16 points a mask is two
+    lookups and one tuple concatenation."""
+    if n <= 16:
+        low, high = _BYTE_MEMBERS[0], _BYTE_MEMBERS[1]
+        return [low[m & 255] + high[m >> 8] for m in masks]
+    width = (n + 7) >> 3
+    tables = _BYTE_MEMBERS[:width] + tuple(map(_byte_members, range(len(_BYTE_MEMBERS), width)))
+    return [tuple(chain.from_iterable(map(getitem, tables, m.to_bytes(width, "little"))))
+            for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +276,10 @@ def capture_edges(
     unions of rank groups; a box's capture is the intersection of one of
     each bounded axis of its shape (united over the strips for the strip
     unions). Each intersection step keeps only the distinct nonempty
-    masks, and each mask that survives the size filter becomes one edge.
+    masks. The unions of two strips take each unordered pair of strips
+    once; each further layer adds one strip to every union of the last.
+    Each mask that survives the size filter becomes one edge, its members
+    read from byte tables (`_members`), and the edges are sorted in place.
     """
     _check_dims(p, fam)
     if exact is not None and at_least is not None:
@@ -265,9 +288,12 @@ def capture_edges(
     groups = [_group_masks(p, ax) for ax in range(p.dim)]
     captures = [_box_captures(groups, shape) for shape in _BOXES[fam.tag]]
     sets = set().union(*captures)
-    if fam.tag == "strip-union":
-        singles = layer = frozenset(sets)
-        for _ in range(fam.s - 1):  # the unions of up to s strips
+    if fam.tag == "strip-union" and fam.s > 1:
+        singles = tuple(sets)
+        # the unions of two strips: u | t == t | u, so each pair once
+        layer = {u | t for i, u in enumerate(singles) for t in singles[i + 1:]}
+        sets |= layer
+        for _ in range(fam.s - 2):  # one more strip per layer, up to s
             layer = {u | t for u in layer for t in singles}
             sets |= layer
     elif fam.tag == "cross-union":
@@ -278,8 +304,9 @@ def capture_edges(
         sets = [s for s in sets if s.bit_count() == exact]
     elif at_least is not None:
         sets = [s for s in sets if s.bit_count() >= at_least]
-    indices = range(n)
-    return _unchecked(Hypergraph, n=n, edges=tuple(sorted(_members(s, indices) for s in sets)))
+    edges = _members(sets, n)
+    edges.sort()
+    return _unchecked(Hypergraph, n=n, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ reference tfin-slab prefix check, the per-base-count references of the
 power difference sets and the corner labellings, the
 Fraction-arithmetic references of the three forward embedding maps and
 of the chain digit walk, the per-row layout of the strips construction,
-and the edge canonicalisation of `Hypergraph.from_edges` that sorts every
-edge."""
+the edge canonicalisation of `Hypergraph.from_edges` that sorts every
+edge, and the capture enumeration with all ordered strip pairs and string
+member lists."""
 from __future__ import annotations
 
 import itertools
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 
 from hypothesis import settings
 
-from polyshallow import solvers
+from polyshallow import geometry, solvers
 from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differences
 from polyshallow.constructions import ConstructionInstance, GadgetParams
 from polyshallow.constructions import strips
@@ -702,3 +703,41 @@ def reference_from_edges(n: int, edges) -> Hypergraph:
                 raise ValueError(f"edge {t} has a vertex outside [0, {n})")
             canon.add(t)
     return Hypergraph(n, tuple(sorted(canon)))
+
+
+# ---------------------------------------------------------------------------
+# Capture enumeration: every ordered pair of strips, members by string
+# ---------------------------------------------------------------------------
+
+_BIT_CHARS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _reference_members(mask: int, indices: range) -> tuple[int, ...]:
+    """The set bits of mask, ascending, read off its binary string."""
+    return tuple(itertools.compress(indices, bin(mask)[:1:-1].encode().translate(_BIT_CHARS)))
+
+
+def reference_capture_edges(p: PointSet, fam, exact=None, at_least=None) -> Hypergraph:
+    """`geometry.capture_edges` the slow way: the same box captures, then
+    each strip-union layer unites every union with every strip (both
+    orders of each pair), the cross unions come from a generator, each
+    mask's members from its binary string, and the result is checked in
+    full by the `Hypergraph` constructor."""
+    n = len(p.points)
+    groups = [geometry._group_masks(p, ax) for ax in range(p.dim)]
+    captures = [geometry._box_captures(groups, shape) for shape in geometry._BOXES[fam.tag]]
+    sets = set().union(*captures)
+    if fam.tag == "strip-union":
+        singles = layer = frozenset(sets)
+        for _ in range(fam.s - 1):
+            layer = {u | t for u in layer for t in singles}
+            sets |= layer
+    elif fam.tag == "cross-union":
+        vert, horiz = captures
+        sets.update(a | b for a in vert for b in horiz)
+    if exact is not None:
+        sets = [s for s in sets if s.bit_count() == exact]
+    elif at_least is not None:
+        sets = [s for s in sets if s.bit_count() >= at_least]
+    indices = range(n)
+    return Hypergraph(n, tuple(sorted(_reference_members(s, indices) for s in sets)))

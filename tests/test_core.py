@@ -216,6 +216,21 @@ def test_shallow_hitting_matches_plain_count(data):
     c = data.draw(st.integers(1, 3))
     assert is_shallow_hitting(h, u, c) == _plain_shallow_check(h, u, c)
 
+
+def test_vertex_set_contains_matches_set_membership():
+    """Membership by bisection agrees with a set on seeded vertex sets,
+    the empty one included, for every vertex from below the least member
+    to past the greatest: negative, out of range, each member and each
+    gap, and the ends of [0, n)."""
+    rng = random.Random(28)
+    for _ in range(200):
+        n, density = rng.randint(0, 20), rng.random()
+        members = {v for v in range(n) if rng.random() < density}
+        vs = VertexSet.of(members)
+        for v in range(-3, n + 3):
+            assert (v in vs) == (v in members)
+
+
 def test_sperner():
     assert is_sperner(H(3, [[0, 1], [1, 2]])) is True
     assert is_sperner(H(3, [[0, 1], [0, 1, 2]])) is False

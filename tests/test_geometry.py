@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_capture_sets, rand_points, rand_points_distinct
+from conftest import (
+    oracle_capture_sets,
+    rand_points,
+    rand_points_distinct,
+    reference_capture_edges,
+)
 from polyshallow import formats
 from polyshallow.constructions import (
     build_bottomless_no3shs,
@@ -36,6 +41,7 @@ from polyshallow.geometry import (
     PointSet,
     RangeFamily,
     Strip,
+    _members,
     capture_contains,
     capture_edges,
     dual_strips_hypergraph,
@@ -253,21 +259,16 @@ EXACT_PRODUCERS = {
         PointSet.of([(0, 1), (Fraction(1, 2), 3), (2, Fraction(-1, 3))]))[0].points),
 }
 
-FORWARD_MAPS = {"powers-octants", "chain-octants", "pq-octants", "pq-octants-M",
-                "powers-bottomless", "powers-bottomless-M"}
-
-
 @pytest.mark.filterwarnings("ignore:strips construction at m=10")
 @pytest.mark.parametrize("name", EXACT_PRODUCERS)
 def test_producers_emit_exact_coordinates(name):
     """Coordinates are exact rationals of type exactly int or Fraction:
-    never a float, a bool or a subclass. The forward maps emit an integral
+    never a float, a bool or a subclass. Every producer emits an integral
     coordinate as an int, never as a Fraction with denominator 1."""
     allowed, produce = EXACT_PRODUCERS[name]
     coords = [c for pt in produce() for c in pt]
     assert coords and {type(c) for c in coords} <= allowed
-    if name in FORWARD_MAPS:
-        assert not [c for c in coords if type(c) is Fraction and c.denominator == 1]
+    assert not [c for c in coords if type(c) is Fraction and c.denominator == 1]
 
 
 def test_dual_strips_thm3_base():
@@ -328,6 +329,56 @@ def test_capture_deterministic_and_sorted():
     b = capture_edges(p, BOTTOMLESS)
     assert a == b
     assert list(a.edges) == sorted(a.edges)
+
+
+# Point counts on both sides of each size split of the member tables (two
+# lookups up to 16 points, the import-time table up to 64) and of the byte
+# edges, as far as each family's edge count allows.
+_BELOW_17 = (7, 8, 9, 16, 17)
+CAPTURE_SIZES = [
+    (BOTTOMLESS, _BELOW_17 + (64, 65, 70)),
+    (STRIPS, _BELOW_17 + (64, 65, 70)),
+    (strip_union(1), _BELOW_17 + (64, 65, 70)),
+    (strip_union(2), _BELOW_17),
+    (strip_union(3), _BELOW_17),
+    (CROSS_UNION, _BELOW_17),
+    (RECTANGLES, _BELOW_17),
+    (OCTANTS, _BELOW_17 + (64, 65, 70)),
+    (TFIN_SLABS, _BELOW_17),
+    (HEXTANTS, _BELOW_17),
+]
+
+
+@pytest.mark.parametrize("fam,sizes", CAPTURE_SIZES, ids=[_family_id(f) for f, _ in CAPTURE_SIZES])
+def test_capture_edges_matches_reference(fam, sizes):
+    """The byte-table members and the strip pairs united once give the
+    same edge tuple as `reference_capture_edges`, unfiltered and under
+    both size filters, on tied and on distinct coordinates."""
+    rng = random.Random(f"capture/{_family_id(fam)}")
+    for n in sizes:
+        tied, distinct = rand_points(rng, n, fam.dim, n // 2), rand_points_distinct(rng, n, fam.dim)
+        for p in (tied, distinct):
+            h = capture_edges(p, fam)
+            assert h == reference_capture_edges(p, fam)
+            size = len(h.edges[len(h.edges) // 2])
+            assert capture_edges(p, fam, exact=size) == reference_capture_edges(p, fam, exact=size)
+            assert (capture_edges(p, fam, at_least=size)
+                    == reference_capture_edges(p, fam, at_least=size))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 24, 63, 64, 65, 72, 130])
+def test_members_at_byte_edges(n):
+    """`_members` on masks whose top bit sits at each byte edge below n (bit
+    8j - 1 and bit 8j) and at n - 1, alone, over a full run, with bit 0 and
+    in an alternating pattern, against a bit-by-bit read."""
+    rng = random.Random(n)
+    masks = [0]
+    for top in sorted({t for t in range(n) if t % 8 in (0, 7)} | {n - 1}):
+        below = (1 << top) - 1
+        masks += [1 << top, (1 << top) | below, (1 << top) | 1,
+                  (1 << top) | below // 3, (1 << top) | rng.getrandbits(top)]
+    assert _members(masks, n) == [tuple(i for i in range(n) if m >> i & 1) for m in masks]
+    assert _members([], n) == []
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,43 @@ def test_imports_are_stdlib_or_polyshallow():
     assert found == []
 
 
+def test_no_cache_outlives_a_call():
+    """No result is kept from one call for the next: the package uses no
+    `functools.cache` or `lru_cache` and no `global` statement. Values
+    cached on an object (`cached_property`) live as long as that object."""
+    root = Path(polyshallow.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.relative_to(root)}:{node.lineno} global")
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names
+                      if name in ("cache", "lru_cache")]
+    assert found == []
+
+
+def test_geometry_tables_are_immutable():
+    """The module-level lookup tables of `geometry` are built at import and
+    never change: each is a tuple, bytes or a read-only mapping, never a
+    list, dict, set or bytearray that a call could fill."""
+    from polyshallow import geometry
+
+    mutable = (list, dict, set, bytearray)
+    found = [name for name, value in vars(geometry).items()
+             if not name.startswith("__") and isinstance(value, mutable)]
+    assert found == []
+    assert type(geometry._BYTE_MEMBERS) is tuple
+    assert all(type(table) is tuple and all(type(m) is tuple for m in table)
+               for table in geometry._BYTE_MEMBERS)
+
+
 # Every function that builds a value with `core._unchecked` (no validation),
 # named as (module, qualified function), with the test in
 # tests/test_producers.py that checks its output against full validation.
