@@ -3,6 +3,9 @@ embedding verification over the documented JSON formats.
 
 Exit codes: 0 success, 2 validation error, 3 budget exhausted,
 4 falsifier/witness abort (the theorem-contradiction path).
+
+Each handler returns its document, and `main` writes it. Handlers look up
+the library functions at call time, so a wrapper patched onto one is seen.
 """
 from __future__ import annotations
 
@@ -39,135 +42,32 @@ def _read(path: str) -> dict:
         return json.load(f)
 
 
-def _emit(doc: dict, args) -> None:
-    text = formats.dumps(doc, pretty=args.pretty)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _hypergraph(args):
+    return formats.hypergraph_from(_read(args.hypergraph))
 
 
 def _budget(args) -> solvers.SolveBudget:
     return solvers.SolveBudget(max_nodes=args.budget_nodes, max_millis=args.budget_millis)
 
 
-def _vertex_set(spec: str, n: int, seed: int) -> VertexSet:
+def _vertex_set(args, n: int) -> VertexSet:
     """--set accepts 'empty', 'all', 'random:<density>', or a JSON path."""
-    if spec == "empty":
+    if args.candidate == "empty":
         return VertexSet.of([])
-    if spec == "all":
+    if args.candidate == "all":
         return VertexSet.of(range(n))
-    if spec.startswith("random:"):
-        dens = float(spec.split(":", 1)[1])
-        rng = random.Random(seed)
+    if args.candidate.startswith("random:"):
+        dens = float(args.candidate.split(":", 1)[1])
+        rng = random.Random(args.seed)
         return VertexSet.of(v for v in range(n) if rng.random() < dens)
-    return formats.vertexset_from(_read(spec))
+    return formats.vertexset_from(_read(args.candidate))
 
 
-def _coloring(spec: str, k: int, n: int, seed: int) -> ColorAssignment:
-    if spec == "random":
-        rng = random.Random(seed)
-        return ColorAssignment(k, tuple(rng.randrange(k) for _ in range(n)))
-    return formats.coloring_from(_read(spec))
-
-
-def _arg(*flags, **kw) -> tuple:
-    """One `add_argument` call of a subcommand, as data."""
-    return flags, kw
-
-
-# Every subcommand takes the output options, and only the options it reads
-# besides: a seed for randomized inputs, solver budgets, and its own.
-_OUTPUT = (_arg("--out", help="write the result document here instead of stdout"),
-           _arg("--pretty", action="store_true", help="human-readable JSON"))
-_SEED = (_arg("--seed", type=int, default=0, help="seed for randomized inputs"),)
-_BUDGET = (_arg("--budget-nodes", type=int, default=10**7),
-           _arg("--budget-millis", type=int, default=None))
-
-_SUBCOMMANDS = {  # name -> (help, arguments in order)
-    "generate": ("build a named construction", (
-        _arg("which", choices=["thm2", "thm3", "thm4", "thm5", "thm6"]),
-        _arg("--m", type=int, help="thm2, thm4, thm6: default 12 for thm2, else 22"),
-        _arg("--k", type=int, help="thm3, thm5, thm6: default 2"),
-        _arg("--s", type=int, help="thm6: default 2"))),
-    "capture": ("range-capture hypergraph of a point set", (
-        _arg("--family", required=True),
-        _arg("--s", type=int, default=1),
-        _arg("--points", required=True),
-        _arg("--exact", type=int),
-        _arg("--at-least", type=int))),
-    "dual": ("dual hypergraph of a strip list", (
-        _arg("--strips", required=True),)),
-    "ap": ("arithmetic-progression hypergraph", (
-        _arg("--spec", required=True),
-        _arg("--vertices", required=True, help="JSON list or 'lo..hi'"))),
-    "embed": ("run one of the structure-preserving maps", (
-        _arg("--map", required=True, choices=[
-            "powers-octants", "pq-octants", "octants-pq", "hextants-pqr",
-            "powers-bottomless", "rectangles-tfin"],
-             help="a forward map preserves the progressions with these differences d:"
-                  " powers-octants 1 and the chain (infinite);"
-                  " pq-octants every d if M = 0, else 1 and p^i q^j, i, j >= 1 (infinite);"
-                  " powers-bottomless t^i, i >= 0 if M = 0, else i >= 1 (finite;"
-                  " an explicit set, as the powers kind adds d = 1)"),
-        _arg("--vertices", help="JSON list or 'lo..hi'"),
-        _arg("--points"),
-        _arg("--t", type=int, help="default 2"),
-        _arg("--p", type=int, help="default 2"),
-        _arg("--q", type=int, help="default 3"),
-        _arg("--p3", type=int, help="default 5"),
-        _arg("--chain", help="comma-separated divisor chain, instead of --t"),
-        _arg("--M", help="comma-separated offsets, default 0"))),
-    "verify-embedding": ("check edge preservation", (
-        _arg("--hypergraph", required=True),
-        _arg("--labels", required=True, help="JSON list of vertex labels"),
-        _arg("--points", required=True),
-        _arg("--family", required=True),
-        _arg("--s", type=int, default=1),
-        _arg("--correspondence", required=True))),
-    "solve-color": ("polychromatic k-coloring search", _BUDGET + (
-        _arg("--hypergraph", required=True),
-        _arg("--k", type=int, required=True),
-        _arg("--at-least", type=int, help="restrict to edges of size >= m first"))),
-    "solve-hitting": ("c-shallow hitting set search", _BUDGET + (
-        _arg("--hypergraph", required=True),
-        _arg("--c", type=int, required=True))),
-    "min-c": ("smallest c with a c-shallow hitting set", _BUDGET + (
-        _arg("--hypergraph", required=True),)),
-    "min-m": ("smallest m with H_{>=m} k-colorable", _BUDGET + (
-        _arg("--hypergraph", required=True),
-        _arg("--k", type=int, required=True))),
-    "falsify": ("defeat a candidate shallow hitting set", _SEED + (
-        _arg("which", choices=["thm2", "thm4"]),
-        _arg("--instance", required=True),
-        _arg("--set", required=True, dest="candidate"))),
-    "witness": ("defeat a candidate coloring", _SEED + (
-        _arg("which", choices=["thm3", "thm5"]),
-        _arg("--k", type=int, required=True),
-        _arg("--coloring", required=True))),
-    "pipeline": ("shrink/hit/delete polychromatic coloring", _BUDGET + (
-        _arg("--points", required=True),
-        _arg("--family", required=True),
-        _arg("--s", type=int, default=1),
-        _arg("--k", type=int, required=True),
-        _arg("--c", type=int, required=True))),
-}
-
-
-def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `cmd` alone. The usage line
-    of `cmd` alone still names every subcommand, so both builds print the
-    same help and errors for a command line that starts with `cmd`."""
-    ap = argparse.ArgumentParser(prog="polyshallow")
-    names = {} if cmd is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
-    sub = ap.add_subparsers(dest="cmd", required=True, **names)
-    for name, (help_text, arguments) in _SUBCOMMANDS.items():
-        if cmd in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flags, kw in _OUTPUT + arguments:
-                p.add_argument(*flags, **kw)
-    return ap
+def _coloring(args, n: int) -> ColorAssignment:
+    if args.coloring == "random":
+        rng = random.Random(args.seed)
+        return ColorAssignment(args.k, tuple(rng.randrange(args.k) for _ in range(n)))
+    return formats.coloring_from(_read(args.coloring))
 
 
 def _parse_vertices(text: Optional[str]) -> list[int]:
@@ -198,9 +98,9 @@ _GENERATE_OPTIONS = {"thm2": {"m": 12}, "thm3": {"k": 2}, "thm4": {"m": 22}, "th
 _EMBED_OPTIONS = {
     "powers-octants": {"vertices": None, "t": None, "chain": None},
     "pq-octants": {"vertices": None, "p": 2, "q": 3, "M": "0"},
-    "powers-bottomless": {"vertices": None, "t": 2, "M": "0"},
     "octants-pq": {"points": None, "p": 2, "q": 3},
     "hextants-pqr": {"points": None, "p": 2, "q": 3, "p3": 5},
+    "powers-bottomless": {"vertices": None, "t": 2, "M": "0"},
     "rectangles-tfin": {"points": None},
 }
 
@@ -219,50 +119,43 @@ def _options(args, name: str, table: dict, key: str) -> None:
             setattr(args, o, default)
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> dict:
     _options(args, "generate", _GENERATE_OPTIONS, args.which)
+    if args.which == "thm3":
+        strips, h, meta = build_dual_strip_lb(args.k)
+        groups = {str(k): list(v) for k, v in meta["groups"].items()}
+        return formats.strips_doc(strips) | {"hypergraph": formats.hypergraph_doc(h), "meta": {
+            "k": meta["k"], "copies": meta["copies"], "groups": groups}}
     if args.which == "thm2":
         inst = build_bottomless_no3shs(args.m)
-        _emit(formats.instance_doc(inst), args)
-    elif args.which == "thm3":
-        strips, h, meta = build_dual_strip_lb(args.k)
-        doc = formats.strips_doc(strips)
-        doc["hypergraph"] = formats.hypergraph_doc(h)
-        doc["meta"] = {"k": meta["k"], "copies": meta["copies"],
-                       "groups": {str(k): list(v) for k, v in meta["groups"].items()}}
-        _emit(doc, args)
     elif args.which == "thm4":
         inst = build_strip_no2shs(args.m)
-        _emit(formats.instance_doc(inst), args)
     elif args.which == "thm5":
         inst = build_cross_lb(args.k)
-        _emit(formats.instance_doc(inst), args)
     else:
-        base = build_strip_no2shs(args.m)
-        inst = build_sstrips_lb(args.s, args.k, base)
-        _emit(formats.instance_doc(inst), args)
-    return EXIT_OK
+        inst = build_sstrips_lb(args.s, args.k, build_strip_no2shs(args.m))
+    return formats.instance_doc(inst)
 
 
-def _cmd_capture(args) -> int:
+def _cmd_capture(args) -> dict:
     pts = formats.points_from(_read(args.points))
     fam = RangeFamily(args.family, args.s)
-    h = geometry.capture_edges(pts, fam, exact=args.exact, at_least=args.at_least)
-    _emit(formats.hypergraph_doc(h), args)
-    return EXIT_OK
+    return formats.hypergraph_doc(
+        geometry.capture_edges(pts, fam, exact=args.exact, at_least=args.at_least))
 
 
-def _cmd_ap(args) -> int:
+def _cmd_dual(args) -> dict:
+    strips = formats.strips_from(_read(args.strips))
+    return formats.hypergraph_doc(geometry.dual_strips_hypergraph(strips))
+
+
+def _cmd_ap(args) -> dict:
     spec = formats.apspec_from(_read(args.spec))
-    svals = _parse_vertices(args.vertices)
-    h, labels, _ = apgraphs.build_ap_hypergraph(svals, spec)
-    doc = formats.hypergraph_doc(h)
-    doc["labels"] = list(labels)
-    _emit(doc, args)
-    return EXIT_OK
+    h, labels, _ = apgraphs.build_ap_hypergraph(_parse_vertices(args.vertices), spec)
+    return formats.hypergraph_doc(h) | {"labels": list(labels)}
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> dict:
     _options(args, "map", _EMBED_OPTIONS, args.map)
     ms = [int(x) for x in args.M.split(",")] if args.M else [0]
     pts = None  # the reverse maps label the given points and emit no points
@@ -284,14 +177,12 @@ def _cmd_embed(args) -> int:
         pts, corr = embeddings.map_pq_to_octants(_parse_vertices(args.vertices), args.p, args.q, ms)
     else:
         pts, corr = embeddings.map_powers_to_bottomless(_parse_vertices(args.vertices), args.t, ms)
-    doc = {"format": formats.FORMAT} if pts is None else formats.points_doc(pts)
-    doc["correspondence"] = [list(p) for p in corr.pairs]
-    _emit(doc, args)
-    return EXIT_OK
+    doc = {} if pts is None else formats.points_doc(pts)
+    return doc | {"correspondence": [list(p) for p in corr.pairs]}
 
 
-def _cmd_verify_embedding(args) -> int:
-    h = formats.hypergraph_from(_read(args.hypergraph))
+def _cmd_verify_embedding(args) -> dict:
+    h = _hypergraph(args)
     labels = json.loads(args.labels) if args.labels.startswith("[") else _read(args.labels)
     if not isinstance(labels, list) or not all(map(formats._is_int, labels)):
         raise ValueError("--labels must be a JSON list of ints")
@@ -304,114 +195,183 @@ def _cmd_verify_embedding(args) -> int:
         for pair in pairs
     ):
         raise ValueError("the correspondence must be a list of [int, int] pairs")
-    pairs = tuple(map(tuple, pairs))
-    corr = embeddings.Correspondence("numbers-to-points", fam.tag, pairs)
+    corr = embeddings.Correspondence("numbers-to-points", fam.tag, tuple(map(tuple, pairs)))
     rep = embeddings.verify_edge_preservation(h, labels, pts, fam, corr)
-    doc = {"format": formats.FORMAT, "status": rep.status, "family": rep.family,
-           "direction": rep.direction}
+    doc = {"status": rep.status, "family": rep.family, "direction": rep.direction}
     if rep.failing_edge is not None:
         doc["failing_edge"] = list(rep.failing_edge)
-    _emit(doc, args)
-    return EXIT_OK
+    return doc
 
 
-def _emit_solve(res: solvers.SolveResult, args) -> int:
-    doc = res.to_doc()
-    doc["format"] = formats.FORMAT
-    _emit(doc, args)
-    return EXIT_BUDGET if res.status == solvers.BUDGET_EXHAUSTED else EXIT_OK
+def _cmd_solve_color(args) -> dict:
+    h = _hypergraph(args)
+    h = restrict_at_least(h, args.at_least) if args.at_least else h
+    return solvers.solve_polychromatic(h, args.k, _budget(args)).to_doc()
 
 
-def _cmd_falsify(args) -> int:
+def _cmd_solve_hitting(args) -> dict:
+    return solvers.solve_shallow_hitting(_hypergraph(args), args.c, _budget(args)).to_doc()
+
+
+def _cmd_min_c(args) -> dict:
+    r = solvers.min_shallow_c(_hypergraph(args), _budget(args))
+    doc = {"status": r.status, "c": r.c, "last_decided": r.last_decided}
+    if r.witness is not None:
+        doc["witness"] = {"members": list(r.witness.members)}
+    return doc
+
+
+def _cmd_min_m(args) -> dict:
+    rec = solvers.min_m_polychromatic(_hypergraph(args), args.k, _budget(args))
+    doc = {"status": rec.status, "m": rec.m, "k": rec.k}
+    if rec.coloring is not None:
+        doc["coloring"] = {"k": rec.coloring.k, "colors": list(rec.coloring.colors)}
+    if rec.unsat_below is not None:
+        doc["unsat_below"] = {"nodes": rec.unsat_below.nodes, "millis": rec.unsat_below.millis}
+    return doc
+
+
+def _cmd_falsify(args) -> dict:
     inst = formats.instance_from(_read(args.instance))
-    cand = _vertex_set(args.candidate, inst.n, args.seed)
     falsifier = falsify_bottomless if args.which == "thm2" else falsify_strips
-    w = falsifier(inst, cand)
-    _emit(formats.witness_doc(w), args)
-    return EXIT_OK
+    return formats.witness_doc(falsifier(inst, _vertex_set(args, inst.n)))
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> dict:
     if args.which == "thm3":
-        strips, h, meta = build_dual_strip_lb(args.k)
-        chi = _coloring(args.coloring, args.k, len(strips), args.seed)
-        w = witness_dual_strip(args.k, chi, meta)
-    else:
-        inst = build_cross_lb(args.k)
-        chi = _coloring(args.coloring, args.k, inst.n, args.seed)
-        w = witness_cross(args.k, chi, inst)
-    _emit(formats.witness_doc(w), args)
-    return EXIT_OK
+        strips, _, meta = build_dual_strip_lb(args.k)
+        return formats.witness_doc(witness_dual_strip(args.k, _coloring(args, len(strips)), meta))
+    inst = build_cross_lb(args.k)
+    return formats.witness_doc(witness_cross(args.k, _coloring(args, inst.n), inst))
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> dict:
     pts = formats.points_from(_read(args.points))
     fam = RangeFamily(args.family, args.s)
-    chi = solvers.coloring_pipeline(pts, fam, args.k, args.c, budget=_budget(args))
-    _emit(formats.coloring_doc(chi), args)
-    return EXIT_OK
+    return formats.coloring_doc(
+        solvers.coloring_pipeline(pts, fam, args.k, args.c, budget=_budget(args)))
+
+
+def _arg(*flags, **kw) -> tuple:
+    """One `add_argument` call of a subcommand, as data."""
+    return flags, kw
+
+
+# Every subcommand takes the output options, and only the options it reads
+# besides: a seed for randomized inputs, solver budgets, and its own.
+_OUTPUT = (_arg("--out", help="write the result document here instead of stdout"),
+           _arg("--pretty", action="store_true", help="human-readable JSON"))
+_SEED = (_arg("--seed", type=int, default=0, help="seed for randomized inputs"),)
+_BUDGET = (_arg("--budget-nodes", type=int, default=10**7),
+           _arg("--budget-millis", type=int, default=None))
+
+_SUBCOMMANDS = {  # name -> (help, handler, arguments in order)
+    "generate": ("build a named construction", _cmd_generate, (
+        _arg("which", choices=list(_GENERATE_OPTIONS)),
+        _arg("--m", type=int, help="thm2, thm4, thm6: default 12 for thm2, else 22"),
+        _arg("--k", type=int, help="thm3, thm5, thm6: default 2"),
+        _arg("--s", type=int, help="thm6: default 2"))),
+    "capture": ("range-capture hypergraph of a point set", _cmd_capture, (
+        _arg("--family", required=True),
+        _arg("--s", type=int, default=1),
+        _arg("--points", required=True),
+        _arg("--exact", type=int),
+        _arg("--at-least", type=int))),
+    "dual": ("dual hypergraph of a strip list", _cmd_dual, (
+        _arg("--strips", required=True),)),
+    "ap": ("arithmetic-progression hypergraph", _cmd_ap, (
+        _arg("--spec", required=True),
+        _arg("--vertices", required=True, help="JSON list or 'lo..hi'"))),
+    "embed": ("run one of the structure-preserving maps", _cmd_embed, (
+        _arg("--map", required=True, choices=list(_EMBED_OPTIONS),
+             help="a forward map preserves the progressions with these differences d:"
+                  " powers-octants 1 and the chain (infinite);"
+                  " pq-octants every d if M = 0, else 1 and p^i q^j, i, j >= 1 (infinite);"
+                  " powers-bottomless t^i, i >= 0 if M = 0, else i >= 1 (finite;"
+                  " an explicit set, as the powers kind adds d = 1)"),
+        _arg("--vertices", help="JSON list or 'lo..hi'"),
+        _arg("--points"),
+        _arg("--t", type=int, help="default 2"),
+        _arg("--p", type=int, help="default 2"),
+        _arg("--q", type=int, help="default 3"),
+        _arg("--p3", type=int, help="default 5"),
+        _arg("--chain", help="comma-separated divisor chain, instead of --t"),
+        _arg("--M", help="comma-separated offsets, default 0"))),
+    "verify-embedding": ("check edge preservation", _cmd_verify_embedding, (
+        _arg("--hypergraph", required=True),
+        _arg("--labels", required=True, help="JSON list of vertex labels"),
+        _arg("--points", required=True),
+        _arg("--family", required=True),
+        _arg("--s", type=int, default=1),
+        _arg("--correspondence", required=True))),
+    "solve-color": ("polychromatic k-coloring search", _cmd_solve_color, _BUDGET + (
+        _arg("--hypergraph", required=True),
+        _arg("--k", type=int, required=True),
+        _arg("--at-least", type=int, help="restrict to edges of size >= m first"))),
+    "solve-hitting": ("c-shallow hitting set search", _cmd_solve_hitting, _BUDGET + (
+        _arg("--hypergraph", required=True),
+        _arg("--c", type=int, required=True))),
+    "min-c": ("smallest c with a c-shallow hitting set", _cmd_min_c, _BUDGET + (
+        _arg("--hypergraph", required=True),)),
+    "min-m": ("smallest m with H_{>=m} k-colorable", _cmd_min_m, _BUDGET + (
+        _arg("--hypergraph", required=True),
+        _arg("--k", type=int, required=True))),
+    "falsify": ("defeat a candidate shallow hitting set", _cmd_falsify, _SEED + (
+        _arg("which", choices=["thm2", "thm4"]),
+        _arg("--instance", required=True),
+        _arg("--set", required=True, dest="candidate"))),
+    "witness": ("defeat a candidate coloring", _cmd_witness, _SEED + (
+        _arg("which", choices=["thm3", "thm5"]),
+        _arg("--k", type=int, required=True),
+        _arg("--coloring", required=True))),
+    "pipeline": ("shrink/hit/delete polychromatic coloring", _cmd_pipeline, _BUDGET + (
+        _arg("--points", required=True),
+        _arg("--family", required=True),
+        _arg("--s", type=int, default=1),
+        _arg("--k", type=int, required=True),
+        _arg("--c", type=int, required=True))),
+}
+
+
+def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `cmd` alone. The usage line
+    of `cmd` alone still names every subcommand, so both builds print the
+    same help and errors for a command line that starts with `cmd`."""
+    ap = argparse.ArgumentParser(prog="polyshallow")
+    names = {} if cmd is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
+    sub = ap.add_subparsers(dest="cmd", required=True, **names)
+    for name, (help_text, _, arguments) in _SUBCOMMANDS.items():
+        if cmd in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, kw in _OUTPUT + arguments:
+                p.add_argument(*flags, **kw)
+    return ap
 
 
 def main(argv=None) -> int:
+    """Write the subcommand's document to --out or stdout: exit 3 if its
+    status is BUDGET_EXHAUSTED, else 0. An error writes no document."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the chosen subcommand's parser; all of them for --help and typos
     args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
-        if args.cmd == "generate":
-            return _cmd_generate(args)
-        if args.cmd == "capture":
-            return _cmd_capture(args)
-        if args.cmd == "dual":
-            strips = formats.strips_from(_read(args.strips))
-            _emit(formats.hypergraph_doc(geometry.dual_strips_hypergraph(strips)), args)
-            return EXIT_OK
-        if args.cmd == "ap":
-            return _cmd_ap(args)
-        if args.cmd == "embed":
-            return _cmd_embed(args)
-        if args.cmd == "verify-embedding":
-            return _cmd_verify_embedding(args)
-        if args.cmd == "solve-color":
-            h = formats.hypergraph_from(_read(args.hypergraph))
-            if args.at_least:
-                h = restrict_at_least(h, args.at_least)
-            return _emit_solve(solvers.solve_polychromatic(h, args.k, _budget(args)), args)
-        if args.cmd == "solve-hitting":
-            h = formats.hypergraph_from(_read(args.hypergraph))
-            return _emit_solve(solvers.solve_shallow_hitting(h, args.c, _budget(args)), args)
-        if args.cmd == "min-c":
-            h = formats.hypergraph_from(_read(args.hypergraph))
-            r = solvers.min_shallow_c(h, _budget(args))
-            doc = {"format": formats.FORMAT, "status": r.status, "c": r.c,
-                   "last_decided": r.last_decided}
-            if r.witness is not None:
-                doc["witness"] = {"members": list(r.witness.members)}
-            _emit(doc, args)
-            return EXIT_BUDGET if r.status == solvers.BUDGET_EXHAUSTED else EXIT_OK
-        if args.cmd == "min-m":
-            h = formats.hypergraph_from(_read(args.hypergraph))
-            rec = solvers.min_m_polychromatic(h, args.k, _budget(args))
-            doc = {"format": formats.FORMAT, "status": rec.status, "m": rec.m, "k": rec.k}
-            if rec.coloring is not None:
-                doc["coloring"] = {"k": rec.coloring.k, "colors": list(rec.coloring.colors)}
-            if rec.unsat_below is not None:
-                doc["unsat_below"] = {"nodes": rec.unsat_below.nodes,
-                                      "millis": rec.unsat_below.millis}
-            _emit(doc, args)
-            return EXIT_BUDGET if rec.status == solvers.BUDGET_EXHAUSTED else EXIT_OK
-        if args.cmd == "falsify":
-            return _cmd_falsify(args)
-        if args.cmd == "witness":
-            return _cmd_witness(args)
-        if args.cmd == "pipeline":
-            return _cmd_pipeline(args)
-        raise AssertionError(args.cmd)
+        doc = _SUBCOMMANDS[args.cmd][1](args) | {"format": formats.FORMAT}
+        text = formats.dumps(doc, pretty=args.pretty)
+        if args.out:
+            with open(args.out, "w") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
     except FalsifierAbort as exc:
         print(f"falsifier abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
+    except solvers.PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET if exc.status == solvers.BUDGET_EXHAUSTED else EXIT_VALIDATION
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_BUDGET if doc.get("status") == solvers.BUDGET_EXHAUSTED else EXIT_OK
 
 
 if __name__ == "__main__":

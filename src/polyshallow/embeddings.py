@@ -279,9 +279,9 @@ def map_pq_to_octants(
 
 
 def map_octants_to_pq(p3: PointSet, p: int, q: int) -> Correspondence:
-    """Label octant points with naturals p^y-rank * q^z-rank * k so that
-    every octant-captured edge maps into {k*d : k >= 1} for one difference
-    d = p^i q^j (checked by check_corner_divisibility)."""
+    """Label octant points with naturals p^(1+y) q^(1+z) k, y and z their
+    positions (see _corner_labels), so that every octant-captured edge maps
+    into {k*d : k >= 1} for one d = p^i q^j (check_corner_divisibility)."""
     return _corner_labels(p3, (p, q), "octants")
 
 
@@ -291,10 +291,11 @@ def map_hextants_to_pqr(p4: PointSet, p1: int, p2: int, p3_: int) -> Corresponde
 
 
 def _corner_labels(pts: PointSet, bases: tuple[int, ...], family: str) -> Correspondence:
-    """Point i gets the label prod(base_a ^ (1 + rank of i on axis a)) * k,
-    over the bounded axes a = 1.. in order, with k the least k >= 1 coprime
-    to the product of the bases that keeps the labels strictly increasing
-    in ascending x order."""
+    """Point i gets the label prod(base_a ^ (1 + position of i on axis a)) * k
+    over the bounded axes a = 1.. in order: its place in the axis's
+    (rank, index) order (PointSet.position), distinct where coordinates tie.
+    k is the least k >= 1 coprime to the product of the bases that keeps
+    the labels strictly increasing in ascending x order."""
     if pts.dim != len(bases) + 1:
         raise ValueError(f"need a {len(bases) + 1}-dimensional point set")
     if min(bases) < 2 or any(gcd(a, b) != 1 for a, b in combinations(bases, 2)):
@@ -315,9 +316,9 @@ def _corner_labels(pts: PointSet, bases: tuple[int, ...], family: str) -> Corres
 def check_corner_divisibility(
     pts: PointSet, corr: Correspondence, bases: Sequence[int]
 ) -> PreservationReport:
-    """For every octant/hextant-captured edge, the labels must be a subset
-    of the positive multiples of d = prod(base_i ^ min bounded-axis rank).
-    There is one base per bounded axis."""
+    """For every octant/hextant-captured edge, the labels must be positive
+    multiples of d = prod(base_a ^ (1 + least position on axis a in the edge)),
+    positions as in _corner_labels. There is one base per bounded axis."""
     if len(bases) != pts.dim - 1:
         raise ValueError(f"{len(bases)} bases for the {pts.dim - 1} bounded axes")
     fam = OCTANTS if pts.dim == 3 else HEXTANTS

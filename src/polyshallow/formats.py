@@ -176,12 +176,16 @@ def instance_from(doc: dict) -> ConstructionInstance:
     if not isinstance(theorem_scale, bool):
         raise ValueError(f"theorem_scale must be a JSON bool, not {theorem_scale!r}")
     groups = _field(doc, "groups", dict)
+    kind, points = doc["kind"], _point_set(doc)
+    for k in groups:  # one min and one max: instances run to thousands of points
+        if _ints(groups, k) and not 0 <= min(groups[k]) <= max(groups[k]) < len(points):
+            raise ValueError(f"{k} names a vertex outside [0, {len(points)})")
     return ConstructionInstance(
-        doc["kind"],
-        _point_set(doc),
+        kind,
+        points,
         family,
         {k: (tuple(v) if isinstance(v, list) else v) for k, v in params.items()},
-        {k: tuple(_ints(groups, k)) for k in groups},
+        {k: tuple(groups[k]) for k in groups},
         theorem_scale,
     )
 

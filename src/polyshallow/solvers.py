@@ -564,7 +564,12 @@ def min_m_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
 # ---------------------------------------------------------------------------
 
 class PipelineError(RuntimeError):
-    pass
+    """A round found no valid c-shallow hitting set. `status` is UNSAT or
+    BUDGET_EXHAUSTED from the default search, else None."""
+
+    def __init__(self, message: str, status: Optional[str] = None):
+        super().__init__(message)
+        self.status = status
 
 
 def coloring_pipeline(
@@ -585,9 +590,12 @@ def coloring_pipeline(
     n = len(points.points)
     colors = [k - 1] * n
 
+    status = None  # of the default oracle's last search
     if hitting_oracle is None:
         def hitting_oracle(hu: Hypergraph, cc: int) -> Optional[VertexSet]:
+            nonlocal status
             res = solve_shallow_hitting(hu, cc, budget)
+            status = res.status
             return res.witness if res.status == SAT else None
 
     threshold = c * (k - 1) + 1
@@ -620,7 +628,7 @@ def coloring_pipeline(
         hu = Hypergraph.from_edges(len(alive), uniform)
         u = hitting_oracle(hu, c)
         if u is None:
-            raise PipelineError(f"no {c}-shallow hitting set found in round {j}")
+            raise PipelineError(f"no {c}-shallow hitting set found in round {j}", status)
         chk = is_shallow_hitting(hu, u, c)
         if chk is not True:
             raise PipelineError(f"oracle returned an invalid hitting set: {chk}")

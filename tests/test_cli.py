@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from polyshallow import solvers
 from polyshallow.cli import _SUBCOMMANDS, build_parser, main
+from polyshallow.core import VertexSet
 from polyshallow.formats import instance_from
 from polyshallow.geometry import PointSet, capture_edges, strip_union
 
@@ -56,13 +59,49 @@ def test_solve_color_unsat(tmp_path):
     assert code == 0 and doc["status"] == "UNSAT"
 
 
-def test_budget_exhaustion_exit_code(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["solve-color", "--k", "3", "--budget-nodes", "1"],
+    ["solve-hitting", "--c", "1", "--budget-nodes", "0"],
+    ["min-c", "--budget-nodes", "0"],
+    ["min-m", "--k", "3", "--budget-nodes", "0"],
+], ids=["solve-color", "solve-hitting", "min-c", "min-m"])
+def test_budget_exhaustion_exit_code(tmp_path, argv):
+    """One rule for every solver subcommand: a document whose status is
+    BUDGET_EXHAUSTED exits 3."""
     h = tmp_path / "big.json"
     edges = [[i, i + 1, i + 2] for i in range(28)]
     h.write_text(json.dumps({"format": 1, "n": 30, "edges": edges}))
-    code, doc = run_cli(tmp_path, "solve-color", "--hypergraph", str(h),
-                        "--k", "3", "--budget-nodes", "1")
+    code, doc = run_cli(tmp_path, *argv, "--hypergraph", str(h))
     assert code == 3 and doc["status"] == "BUDGET_EXHAUSTED"
+
+
+def _fake_sat(h, c, budget):
+    """A hitting search that claims the empty set hits every edge."""
+    return solvers.SolveResult(solvers.SAT, VertexSet.of([]))
+
+
+@pytest.mark.parametrize("budget, search, code", [
+    (["--budget-nodes", "0"], None, 3),
+    ([], None, 2),
+    ([], _fake_sat, 2),
+], ids=["budget-exhausted", "unsat", "invalid-set"])
+def test_pipeline_round_without_hitting_set_exit_code(tmp_path, capsys, monkeypatch, budget,
+                                                      search, code):
+    """A round with no 1-shallow hitting set of 30 strip-captured points
+    writes no document: exit 3 if its search ran out of budget, 2 if it
+    proved none exists or the set it gave failed the check."""
+    rng = random.Random(5)
+    xs, ys = rng.sample(range(1000), 30), rng.sample(range(1000), 30)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"format": 1, "dim": 2, "points": list(map(list, zip(xs, ys)))}))
+    if search is not None:
+        monkeypatch.setattr(solvers, "solve_shallow_hitting", search)
+    got, out = run_cli(tmp_path, "pipeline", "--points", str(p), "--family", "strips",
+                       "--k", "3", "--c", "1", *budget)
+    assert got == code and out is None
+    msg = ("oracle returned an invalid hitting set" if search
+           else "no 1-shallow hitting set found in round 0")
+    assert capsys.readouterr().err.startswith(f"error: {msg}")
 
 
 @pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"), ("--budget-millis", "-3")])
@@ -202,6 +241,10 @@ def test_readme_examples_parse():
     assert len(commands) >= 15
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_readme_shows_every_subcommand():
+    assert set(_SUBCOMMANDS) - {argv[0] for argv in _readme_commands()} == set()
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -417,6 +460,11 @@ SPEC = {"format": 1, "generator": {"kind": "powers", "params": [2]}, "M": [0], "
 INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
 
 
+def _group_p_past_n(inst: dict) -> dict:
+    """A valid thm2 instance document whose group P ends in vertex 99999."""
+    return inst | {"groups": inst["groups"] | {"P": inst["groups"]["P"][:-1] + [99999]}}
+
+
 @pytest.mark.parametrize("argv, doc, msg", [
     (["ap", "--vertices", "0..5", "--spec"],
      SPEC | {"generator": {"kind": "powers", "params": ["2"]}}, "params must be a list"),
@@ -440,6 +488,7 @@ INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
     (INSTANCE, {"family": {"tag": "strip-union", "s": "2"}}, "s must be an integer"),
     (INSTANCE, {"groups": [1]}, "groups must be a JSON object"),
     (INSTANCE, {"groups": {"a": 5}}, "a must be a list of integers"),
+    (INSTANCE, _group_p_past_n, "P names a vertex outside [0, 92)"),
     (INSTANCE, {"params": {"m": "4"}, "theorem_scale": True},
      "m must be an integer or a list of integers, not '4'"),
     (INSTANCE, {"params": {"m": True}, "theorem_scale": True},
@@ -468,17 +517,18 @@ INSTANCE = ["falsify", "thm2", "--set", "empty", "--instance"]
         "coloring-color-str", "coloring-k-str", "set-member-str", "spec-generator-list",
         "instance-params-int", "instance-family-str", "instance-tag-list",
         "instance-strip-count", "instance-s-str", "instance-groups-list",
-        "instance-group-int", "instance-param-str", "instance-param-bool",
-        "instance-param-float", "instance-param-list-bool", "instance-scale-str",
-        "instance-scale-int", "points-int", "point-int", "dim-float", "strip-int",
-        "capture-family-suffix", "capture-strip-count",
+        "instance-group-int", "instance-group-vertex-past-n", "instance-param-str",
+        "instance-param-bool", "instance-param-float", "instance-param-list-bool",
+        "instance-scale-str", "instance-scale-int", "points-int", "point-int", "dim-float",
+        "strip-int", "capture-family-suffix", "capture-strip-count",
         "octants-pq-no-points", "hextants-pqr-no-points", "rectangles-tfin-no-points"])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, msg):
     if argv[0] == "falsify":
         inst = tmp_path / "inst.json"
         assert main(["generate", "thm2", "--m", "4", "--out", str(inst)]) == 0
-        if argv[-1] == "--instance":  # doc replaces fields of a valid instance
-            doc = json.loads(inst.read_text()) | doc
+        if argv[-1] == "--instance":  # doc replaces fields of a valid instance, or edits it
+            valid = json.loads(inst.read_text())
+            doc = doc(valid) if callable(doc) else valid | doc
         else:
             argv = [*argv[:2], "--instance", str(inst), *argv[2:]]
     if doc is not None:  # None: the command is run without its document
