@@ -103,6 +103,15 @@ def enumerate_differences(spec: APSpec, bound: int) -> list[int]:
     return sorted(out)
 
 
+def sorted_naturals(s_vertices: Iterable[int]) -> list[int]:
+    """The vertex values S ascending without repeats; a negative one is an
+    error."""
+    svals = sorted(set(s_vertices))
+    if svals and svals[0] < 0:
+        raise ValueError("S must contain naturals")
+    return svals
+
+
 def a0_admissible(a0: int, d: int, M: Iterable[int]) -> bool:
     """True iff some m >= 0 has a0 - m*d in M, i.e. some mu in M with
     mu <= a0 and a0 = mu (mod d)."""
@@ -134,11 +143,9 @@ def build_ap_hypergraph(
     on, so there is one range per class. Vertex indices grow with the
     values, so each intersection and each of its prefixes is already a
     sorted edge."""
-    svals = sorted(set(s_vertices))
+    svals = sorted_naturals(s_vertices)
     if not svals:
         raise ValueError("S must be nonempty")
-    if any(v < 0 for v in svals):
-        raise ValueError("S must contain naturals")
     index = {v: i for i, v in enumerate(svals)}
     top = svals[-1]
     diffs = enumerate_differences(spec, max(top, 1))

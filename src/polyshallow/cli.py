@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+import warnings
 from typing import Optional
 
 from . import apgraphs, embeddings, formats, geometry, solvers
@@ -60,7 +61,11 @@ def _vertex_set(args, n: int) -> VertexSet:
         dens = float(args.candidate.split(":", 1)[1])
         rng = random.Random(args.seed)
         return VertexSet.of(v for v in range(n) if rng.random() < dens)
-    return formats.vertexset_from(_read(args.candidate))
+    vs = formats.vertexset_from(_read(args.candidate))
+    outside = [v for v in vs.members[:1] + vs.members[-1:] if not 0 <= v < n]  # members ascend
+    if outside:
+        raise ValueError(f"--set member {outside[0]} is outside [0, {n})")
+    return vs
 
 
 def _coloring(args, n: int) -> ColorAssignment:
@@ -78,7 +83,7 @@ def _parse_vertices(text: Optional[str]) -> list[int]:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     values = json.loads(text)
-    if not isinstance(values, list) or not all(map(formats._is_int, values)):
+    if not formats.is_int_list(values):
         raise ValueError(f"--vertices is neither a JSON list of ints nor 'lo..hi': {text!r}")
     return values
 
@@ -184,16 +189,14 @@ def _cmd_embed(args) -> dict:
 def _cmd_verify_embedding(args) -> dict:
     h = _hypergraph(args)
     labels = json.loads(args.labels) if args.labels.startswith("[") else _read(args.labels)
-    if not isinstance(labels, list) or not all(map(formats._is_int, labels)):
+    if not formats.is_int_list(labels):
         raise ValueError("--labels must be a JSON list of ints")
     pts = formats.points_from(_read(args.points))
     fam = RangeFamily(args.family, args.s)
     cdoc = _read(args.correspondence)
     pairs = cdoc.get("correspondence") if isinstance(cdoc, dict) else None
     if not isinstance(pairs, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(map(formats._is_int, pair))
-        for pair in pairs
-    ):
+            formats.is_int_list(pair) and len(pair) == 2 for pair in pairs):
         raise ValueError("the correspondence must be a list of [int, int] pairs")
     corr = embeddings.Correspondence("numbers-to-points", fam.tag, tuple(map(tuple, pairs)))
     rep = embeddings.verify_edge_preservation(h, labels, pts, fam, corr)
@@ -348,6 +351,18 @@ def build_parser(cmd: Optional[str] = None) -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args) -> dict:
+    """The subcommand's document. Each warning its handler raises goes to
+    stderr as one `warning: <message>` line, without the file and line
+    that raised it."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return _SUBCOMMANDS[args.cmd][1](args)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Write the subcommand's document to --out or stdout: exit 3 if its
     status is BUDGET_EXHAUSTED, else 0. An error writes no document."""
@@ -355,7 +370,7 @@ def main(argv=None) -> int:
     # only the chosen subcommand's parser; all of them for --help and typos
     args = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
-        doc = _SUBCOMMANDS[args.cmd][1](args) | {"format": formats.FORMAT}
+        doc = _run(args) | {"format": formats.FORMAT}
         text = formats.dumps(doc, pretty=args.pretty)
         if args.out:
             with open(args.out, "w") as f:

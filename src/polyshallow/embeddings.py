@@ -8,6 +8,12 @@ therefore emit images whose y/z coordinates are the negatives of the
 textbook 1 - 1/g form (1/g - 1, sentinel +1 for zero valuation), which is
 the reflection-equivalent layout for this orientation.
 
+The squares map takes its divisor chain as an `apgraphs.APSpec` of kind
+`powers` or `divisorChain` (chain_of_powers and chain_explicit build one
+with M = {0}) and reads neither its M nor its mode: its image captures
+every infinite chain progression whatever its start, so one spec builds
+both A_{D,M} and its image.
+
 The reverse maps label octant points by two pairwise-coprime bases and
 hextant points by three, through one labelling for any number of bases.
 
@@ -26,8 +32,10 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
+from .apgraphs import APSpec, enumerate_differences, sorted_naturals
 from .core import Hypergraph
 from .geometry import (
+    BOTTOMLESS,
     HEXTANTS,
     OCTANTS,
     TFIN_SLABS,
@@ -87,6 +95,22 @@ class PreservationReport:
         return self.status == "all-preserved"
 
 
+def _image(labels: Sequence[int], pts: list, fam: RangeFamily) -> tuple[PointSet, Correspondence]:
+    """The image points of a forward map, in fam's dimension, and the
+    correspondence that pairs labels[i] with point i."""
+    pairs = tuple((n, i) for i, n in enumerate(labels))
+    return PointSet.of(pts, dim=fam.dim), Correspondence("numbers-to-points", fam.tag, pairs)
+
+
+def _offsets(M: Iterable[int], modulus: int) -> list[int]:
+    """M ascending without repeats; two offsets that share a residue mod
+    modulus are an error."""
+    ms = sorted(set(M))
+    if len({mu % modulus for mu in ms}) != len(ms):
+        raise ValueError("duplicate residues in M")
+    return ms
+
+
 def valuation(n: int, p: int) -> Optional[int]:
     """Exponent of p in n; None encodes infinity (n == 0). Needs p >= 2."""
     if p < 2:
@@ -104,71 +128,18 @@ def valuation(n: int, p: int) -> Optional[int]:
 # Squares recursion (powers / divisor chains -> octants)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Chain:
-    """Divisor chain d_0 = 1 | d_1 | d_2 | ...; powers(t) is the chain t^i.
-    For explicit finite chains the last position's digit is unbounded."""
-
-    divisors: tuple[int, ...]  # ascending, starting at 1
-    extend_base: Optional[int]  # t for powers-style unbounded chains
-
-    def divisor(self, i: int) -> int:
-        if i < len(self.divisors):
-            return self.divisors[i]
-        if self.extend_base is None:
-            raise IndexError("finite chain exhausted")
-        d = self.divisors[-1]
-        for _ in range(i - len(self.divisors) + 1):
-            d *= self.extend_base
-        return d
-
-    def divisors_upto(self, n: int) -> list[int]:
-        """The divisors d_i <= n, ascending; a finite chain stops at its end."""
-        out = []
-        for d in self.divisors:
-            if d > n:
-                return out
-            out.append(d)
-        if self.extend_base is not None:
-            d = out[-1] * self.extend_base
-            while d <= n:
-                out.append(d)
-                d *= self.extend_base
-        return out
-
-    def digits(self, n: int) -> list[tuple[int, int]]:
-        """Nonzero digits of n in the chain basis, ascending position.
-
-        Greedy from the top on int arithmetic over divisors_upto(n): the
-        rest after digit i is below d_i, so one downward pass over the
-        positions reads every digit (the last digit of a finite chain takes
-        whatever is left)."""
-        out = []
-        ds = self.divisors_upto(n)
-        for i in range(len(ds) - 1, -1, -1):
-            c, n = divmod(n, ds[i])
-            if c:
-                out.append((i, c))
-        out.reverse()
-        return out
-
-
-def chain_of_powers(t: int) -> _Chain:
+def chain_of_powers(t: int) -> APSpec:
+    """The chain t^0 | t^1 | t^2 | ... as a `powers` spec with M = {0}."""
     if t < 2:
         raise ValueError("powers chain needs t >= 2")
-    return _Chain((1,), t)
+    return APSpec.powers(t, [0])
 
 
-def chain_explicit(divisors: Sequence[int]) -> _Chain:
+def chain_explicit(divisors: Sequence[int]) -> APSpec:
+    """The finite chain 1 | d_1 | d_2 | ... as a `divisorChain` spec with
+    M = {0}; the leading 1 may be given or left out."""
     ds = tuple(divisors)
-    if not ds or ds[0] != 1:
-        ds = (1,) + ds
-    prev = None
-    for d in ds:
-        if prev is not None and (d <= prev or d % prev != 0):
-            raise ValueError("chain must be strictly increasing, each dividing the next")
-        prev = d
-    return _Chain(ds, None)
+    return APSpec.divisor_chain(ds[1:] if ds[:1] == (1,) else ds, [0])
 
 
 @dataclass(frozen=True)
@@ -181,9 +152,16 @@ class SquareLayout:
     boxes: dict  # number -> (y_west, z_south, side)
 
 
-def map_powers_to_octants(s_vertices: Iterable[int], chain: _Chain) -> SquareLayout:
-    """Place nested squares on the y-z plane so every infinite AP with a
-    chain difference is cut out by one octant over the image points.
+def map_powers_to_octants(s_vertices: Iterable[int], spec: APSpec) -> SquareLayout:
+    """Place nested squares on the y-z plane so every infinite AP whose
+    difference is in the chain of a `powers` or `divisorChain` spec is cut
+    out by one octant over the image points, whatever its start: the map
+    reads neither the spec's M nor its mode.
+
+    Each number's digits are read greedily from the top over the chain's
+    divisors up to max(S): the rest after digit i is below d_i, so one
+    downward pass reads them all, and the last divisor of a finite chain
+    takes whatever is left. A number's parent drops its highest digit.
 
     Children of a square (one extra nonzero digit) go on a NW-to-SE
     diagonal ordered by digit position then digit value, with pairwise
@@ -196,15 +174,20 @@ def map_powers_to_octants(s_vertices: Iterable[int], chain: _Chain) -> SquareLay
     int over the square's own 2^-shift, and boxes gets exact Fractions,
     inserted in pre-order (children in the diagonal order).
     """
-    svals = sorted(set(s_vertices))
-    if any(v < 0 for v in svals):
-        raise ValueError("S must contain naturals")
-    ds = chain.divisors_upto(max(svals, default=0))
+    if spec.kind not in ("powers", "divisorChain"):
+        raise ValueError(f"the squares map needs a powers or divisorChain spec, not {spec.kind!r}")
+    svals = sorted_naturals(s_vertices)
+    ds = enumerate_differences(spec, max([1] + svals[-1:]))
     # tree: every prefix (ancestor) of every member, rooted at 0
     children: dict[int, set[tuple[int, int, int]]] = {0: set()}
     for n in svals:
+        digits, rest = [], n
+        for pos in range(len(ds) - 1, -1, -1):
+            val, rest = divmod(rest, ds[pos])
+            if val:
+                digits.append((pos, val))
         acc = 0
-        for pos, val in chain.digits(n):
+        for pos, val in reversed(digits):
             parent = acc
             acc += val * ds[pos]
             children.setdefault(parent, set()).add((pos, val, acc))
@@ -220,19 +203,10 @@ def map_powers_to_octants(s_vertices: Iterable[int], chain: _Chain) -> SquareLay
         for r in range(len(kids), 0, -1):  # pushed last to first: popped in order
             stack.append((kids[r - 1][2], shift + r + 2,
                           ((y << r) + (1 << r) - 1) << 2, (z << (r + 2)) + 3))
-    pts = []
-    pairs = []
-    for i, n in enumerate(svals):
-        yw, zs, _ = boxes[n]
-        # the root square's corner (0, 0) is the one integral corner: every
-        # other square lies strictly inside the root, north-east of it
-        pts.append((n, yw, zs) if n else (0, 0, 0))
-        pairs.append((n, i))
-    return SquareLayout(
-        PointSet.of(pts, dim=3),
-        Correspondence("numbers-to-points", "octants", tuple(pairs)),
-        boxes,
-    )
+    # the root square's corner (0, 0) is the one integral corner: every
+    # other square lies strictly inside the root, north-east of it
+    pts = [(n, *boxes[n][:2]) if n else (0, 0, 0) for n in svals]
+    return SquareLayout(*_image(svals, pts, OCTANTS), boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +221,8 @@ def map_pq_to_octants(
     for M is octant-captured over the image."""
     if p < 2 or q < 2 or gcd(p, q) != 1:
         raise ValueError("p, q must be coprime and >= 2")
-    ms = sorted(set(M))
-    if len({mu % (p * q) for mu in ms}) != len(ms):
-        raise ValueError("duplicate residues in M")
-    svals = sorted(set(s_vertices))
-    if any(v < 0 for v in svals):
-        raise ValueError("S must contain naturals")
+    ms = _offsets(M, p * q)
+    svals = sorted_naturals(s_vertices)
     pts = []
     if ms == [0]:
         for n in svals:
@@ -274,8 +244,7 @@ def map_pq_to_octants(
             y = -1 - 2 * r if g1 is None else _exact(1 - g1 - 2 * r * g1, g1)
             z = 2 * r - 1 if g2 is None else _exact(1 - g2 + 2 * r * g2, g2)
             pts.append((n, y, z))
-    pairs = tuple((n, i) for i, n in enumerate(svals))
-    return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "octants", pairs)
+    return _image(svals, pts, OCTANTS)
 
 
 def map_octants_to_pq(p3: PointSet, p: int, q: int) -> Correspondence:
@@ -383,12 +352,8 @@ def map_powers_to_bottomless(
     """
     if t < 2:
         raise ValueError("t must be >= 2")
-    ms = sorted(set(M))
-    if len({mu % t for mu in ms}) != len(ms):
-        raise ValueError("duplicate residues in M")
-    svals = sorted(set(s_vertices))
-    if any(v < 0 for v in svals):
-        raise ValueError("S must contain naturals")
+    ms = _offsets(M, t)
+    svals = sorted_naturals(s_vertices)
     pts = []
     if ms == [0]:
         for n in svals:
@@ -410,8 +375,7 @@ def map_powers_to_bottomless(
             tv = valuation(base, t)  # None only when n == r
             y = 0 if tv is None else _exact(1, tv)
             pts.append((_exact((2 * r + 1) * n - 1, n), y))
-    pairs = tuple((n, i) for i, n in enumerate(svals))
-    return PointSet.of(pts, dim=2), Correspondence("numbers-to-points", "bottomless", pairs)
+    return _image(svals, pts, BOTTOMLESS)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +388,7 @@ def map_rectangles_to_tfin(p2: PointSet) -> tuple[PointSet, Correspondence]:
     if p2.dim != 2:
         raise ValueError("need a 2-dimensional point set")
     pts = [(u, v, -v) for (u, v) in p2.points]
-    pairs = tuple((i, i) for i in range(len(pts)))
-    return PointSet.of(pts, dim=3), Correspondence("numbers-to-points", "tfin-slabs", pairs)
+    return _image(range(len(pts)), pts, TFIN_SLABS)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def is_int_list(x) -> bool:
+    """True iff x is a JSON list of ints (a bool is not an int here)."""
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
 def _ints(doc: dict, key: str) -> list[int]:
     """doc[key], which must be a list of integers."""
     xs = doc[key]
-    if not isinstance(xs, list) or not all(map(_is_int, xs)):
+    if not is_int_list(xs):
         raise ValueError(f"{key} must be a list of integers, not {xs!r}")
     return xs
 
@@ -72,9 +77,7 @@ def hypergraph_from(doc: dict) -> Hypergraph:
     n, edges = doc["n"], doc["edges"]
     if not _is_int(n):
         raise ValueError(f"n must be an integer, not {n!r}")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
-    ):
+    if not isinstance(edges, list) or not all(map(is_int_list, edges)):
         raise ValueError("edges must be a list of lists of integers")
     return Hypergraph.from_edges(n, edges)
 
@@ -170,7 +173,7 @@ def instance_from(doc: dict) -> ConstructionInstance:
     family = RangeFamily(_field(fam, "tag", str), s)
     params = _field(doc, "params", dict)
     for k, v in params.items():
-        if not _is_int(v) and not (isinstance(v, list) and all(map(_is_int, v))):
+        if not _is_int(v) and not is_int_list(v):
             raise ValueError(f"{k} must be an integer or a list of integers, not {v!r}")
     theorem_scale = doc["theorem_scale"]
     if not isinstance(theorem_scale, bool):

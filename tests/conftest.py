@@ -489,17 +489,27 @@ def reference_corner_labels(pts, bases):
 # Reference forward maps: Fraction arithmetic throughout
 # ---------------------------------------------------------------------------
 
-def reference_chain_digits(chain, n):
-    """`_Chain.digits` the slow way: greedy from the top, each step looking
-    up the largest position whose divisor is <= the rest from position 0."""
+def reference_divisor(spec, i):
+    """d_i of a chain spec: t^i for `powers`, else the i-th of 1 and the
+    explicit divisors, IndexError past the end."""
+    if spec.kind == "powers":
+        return spec.params[0] ** i
+    return ((1,) + spec.params)[i]
+
+
+def reference_chain_digits(spec, n):
+    """The nonzero digits (position, value) of n in the chain basis,
+    ascending position, the slow way: greedy from the top, each step
+    looking up the largest position whose divisor is <= the rest from
+    position 0. The last divisor of a finite chain takes whatever is left."""
 
     def top_position(n):
         i = 0
         while True:
             try:
-                nxt = chain.divisor(i + 1)
+                nxt = reference_divisor(spec, i + 1)
             except IndexError:
-                return min(i, len(chain.divisors) - 1)
+                return i
             if nxt > n:
                 return i
             i += 1
@@ -507,7 +517,7 @@ def reference_chain_digits(chain, n):
     out = []
     while n > 0:
         i = top_position(n)
-        d = chain.divisor(i)
+        d = reference_divisor(spec, i)
         c = n // d
         out.append((i, c))
         n -= c * d
@@ -515,7 +525,7 @@ def reference_chain_digits(chain, n):
     return out
 
 
-def reference_map_powers_to_octants(s_vertices, chain):
+def reference_map_powers_to_octants(s_vertices, spec):
     """`embeddings.map_powers_to_octants` the slow way: every square placed
     recursively with Fraction adds, multiplies and divides."""
     svals = sorted(set(s_vertices))
@@ -524,9 +534,9 @@ def reference_map_powers_to_octants(s_vertices, chain):
     children = {0: set()}
     for n in svals:
         acc = 0
-        for pos, val in reference_chain_digits(chain, n):
+        for pos, val in reference_chain_digits(spec, n):
             parent = acc
-            acc += val * chain.divisor(pos)
+            acc += val * reference_divisor(spec, pos)
             children.setdefault(parent, set()).add((pos, val, acc))
             children.setdefault(acc, set())
 

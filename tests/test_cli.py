@@ -188,6 +188,17 @@ def test_generated_instance_keeps_int_coordinates(tmp_path, which, m):
     assert inst.n > 0 and {type(c) for pt in inst.points.points for c in pt} == {int}
 
 
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    """A library warning reaches stderr as its message alone, not the file
+    and line that raised it, and the document is still written."""
+    out = tmp_path / "inst.json"
+    assert main(["generate", "thm4", "--m", "10", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: strips construction at m=10 has no row certificate (certified: m in [22]);"
+        " its H_=m may admit 2-shallow hitting sets\n")
+    assert instance_from(json.loads(out.read_text())).n > 0
+
+
 def _parse_output(capsys, parse, argv):
     """What `parse(argv)` prints, and its exit code: argparse exits after
     printing help and after an error."""
@@ -478,6 +489,10 @@ def _group_p_past_n(inst: dict) -> dict:
     (["witness", "thm5", "--k", "2", "--coloring"],
      {"format": 1, "k": "2", "colors": [0] * 6}, "k must be an integer"),
     (["falsify", "thm2", "--set"], {"format": 1, "members": ["1"]}, "members must be a list"),
+    (["falsify", "thm2", "--set"], {"format": 1, "members": [0, 99999]},
+     "--set member 99999 is outside [0, 92)"),
+    (["falsify", "thm2", "--set"], {"format": 1, "members": [-5]},
+     "--set member -5 is outside [0, 92)"),
     (["ap", "--vertices", "0..5", "--spec"], SPEC | {"generator": [1]},
      "generator must be a JSON object"),
     (INSTANCE, {"params": 3}, "params must be a JSON object"),
@@ -514,7 +529,8 @@ def _group_p_past_n(inst: dict) -> dict:
     (["embed", "--map", "hextants-pqr"], None, "this map needs --points"),
     (["embed", "--map", "rectangles-tfin"], None, "this map needs --points"),
 ], ids=["spec-param-str", "spec-params-int", "spec-offset-str", "spec-kind-list",
-        "coloring-color-str", "coloring-k-str", "set-member-str", "spec-generator-list",
+        "coloring-color-str", "coloring-k-str", "set-member-str", "set-member-past-n",
+        "set-member-negative", "spec-generator-list",
         "instance-params-int", "instance-family-str", "instance-tag-list",
         "instance-strip-count", "instance-s-str", "instance-groups-list",
         "instance-group-int", "instance-group-vertex-past-n", "instance-param-str",

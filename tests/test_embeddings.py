@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_points, rand_points_distinct
+from conftest import rand_points, rand_points_distinct, reference_chain_digits, reference_divisor
 from polyshallow.apgraphs import APSpec, build_ap_hypergraph
 from polyshallow.embeddings import (
     Correspondence,
@@ -62,12 +62,12 @@ def test_squares_recursion_chain():
 def test_squares_nesting_monotone():
     lay = map_powers_to_octants(range(0, 20), chain_of_powers(2))
     boxes = lay.boxes
-    chain = chain_of_powers(2)
+    spec = chain_of_powers(2)
     for n in boxes:
         if n == 0:
             continue
-        digs = chain.digits(n)
-        parent = n - digs[-1][1] * chain.divisor(digs[-1][0])
+        digs = reference_chain_digits(spec, n)
+        parent = n - digs[-1][1] * reference_divisor(spec, digs[-1][0])
         (py, pz, ps) = boxes[parent]
         (cy, cz, cs) = boxes[n]
         assert py < cy and cy + cs < py + ps  # strictly inside in y
@@ -83,6 +83,18 @@ def test_squares_nesting_monotone():
 def test_singleton_squares():
     lay = map_powers_to_octants([0], chain_of_powers(2))
     assert len(lay.points.points) == 1
+
+
+def test_squares_read_chain_kinds_only():
+    """A chain is a powers or divisorChain spec; its M and mode are not read."""
+    assert chain_explicit([1, 2, 6]) == chain_explicit([2, 6]) == APSpec.divisor_chain([2, 6], [0])
+    s = range(40)
+    want = map_powers_to_octants(s, chain_of_powers(3))
+    assert map_powers_to_octants(s, APSpec.powers(3, [1, 2, 5], "finite")) == want
+    for spec in (APSpec.explicit([2, 4], [0]), APSpec.bi_powers(2, 3, [0]),
+                 APSpec.tri_powers(2, 3, 5, [0])):
+        with pytest.raises(ValueError, match=f"powers or divisorChain spec, not '{spec.kind}'"):
+            map_powers_to_octants(s, spec)
 
 
 def test_pq_map_values():

@@ -3,7 +3,7 @@ prefix check, the power difference sets, the corner labellings and the
 three forward embedding maps against the slow reference implementations
 in conftest: the same hypergraph, labels and edge-label map (in insertion
 order), the same reports, difference lists and correspondences, and the
-same points, boxes, correspondence and chain digits (the CLI documents
+same points, boxes and correspondence (the CLI documents
 byte for byte). Also the corner-divisibility check on labellings that
 break it, and the bases each power kind rejects. Then the three fast
 paths of the construction set-up: the strips row laid out once against
@@ -25,7 +25,6 @@ from conftest import (
     reference_build_ap_hypergraph,
     reference_build_strip_no2shs,
     reference_from_edges,
-    reference_chain_digits,
     reference_corner_labels,
     reference_enumerate_differences,
     reference_map_powers_to_bottomless,
@@ -375,14 +374,12 @@ def _outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-def _assert_same_squares(s, chain):
-    got = map_powers_to_octants(s, chain)
-    ref = reference_map_powers_to_octants(s, chain)
+def _assert_same_squares(s, spec):
+    got = map_powers_to_octants(s, spec)
+    ref = reference_map_powers_to_octants(s, spec)
     assert got.points.points == ref.points.points
     assert list(got.boxes.items()) == list(ref.boxes.items())
     assert got.corr == ref.corr
-    for n in list(s) + [0, 1, 299, 300]:
-        assert chain.digits(n) == reference_chain_digits(chain, n)
 
 
 def _assert_same_points(fn, ref, *args):
@@ -446,8 +443,25 @@ def test_forward_maps_match_reference_property(data):
     _assert_same_points(map_powers_to_bottomless, reference_map_powers_to_bottomless, s, t, M)
 
 
-def _squares(s, chain):
-    lay = reference_map_powers_to_octants(s, chain)
+def test_squares_preserve_their_own_spec_seeded():
+    """One spec builds A_{D,M} and, through the squares map, its image: the
+    map reads only the chain, so every start in M is captured."""
+    rng = random.Random(10003)
+    chains = ([("powers", (t,)) for t in range(2, 6)]
+              + [("divisorChain", ds[1:]) for ds in EXPLICIT_CHAINS])
+    for kind, params in chains:
+        for M in ([0], [0, 1], None):
+            top = rng.randint(0, 40)
+            s = range(top + 1)
+            spec = APSpec(kind, params, tuple(s) if M is None else tuple(M))
+            h, labels, _ = build_ap_hypergraph(s, spec)
+            lay = map_powers_to_octants(s, spec)
+            rep = verify_edge_preservation(h, labels, lay.points, OCTANTS, lay.corr)
+            assert rep.ok, (spec, rep)
+
+
+def _squares(s, spec):
+    lay = reference_map_powers_to_octants(s, spec)
     return lay.points, lay.corr
 
 
