@@ -40,6 +40,8 @@ def witness_cross(
     union is a cross-captured edge of size 3*(ceil(3k/4)-1) missing it."""
     if inst is None:
         inst = build_cross_lb(k)
+    if coloring.k != k:
+        raise ValueError(f"coloring has k = {coloring.k} colors, not k = {k}")
     t = inst.params["copies"]
     if len(coloring.colors) != 8 * t:
         raise ValueError("coloring length does not match the instance")

@@ -53,6 +53,8 @@ def witness_dual_strip(
     must be the set of strips that contain the private cell."""
     if meta is None:
         _, _, meta = build_dual_strip_lb(k)
+    if coloring.k != k:
+        raise ValueError(f"coloring has k = {coloring.k} colors, not k = {k}")
     t = meta["copies"]
     groups = meta["groups"]
     if len(coloring.colors) != 4 * t:

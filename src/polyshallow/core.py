@@ -1,5 +1,5 @@
-"""Finite hypergraph algebra: restrictions, induced subhypergraphs, and
-validity checks for polychromatic colorings and shallow hitting sets.
+"""Finite hypergraph algebra: the restriction H_>=m and the validity
+checks for polychromatic colorings and shallow hitting sets.
 
 Edges are stored sorted and deduplicated (set semantics). A Hypergraph
 built directly may hold the empty edge; only `Hypergraph.from_edges` drops
@@ -12,10 +12,9 @@ everything, `Hypergraph.from_edges` canonicalises each edge (a strictly
 increasing tuple is taken as it is) and range-checks it as it goes,
 `VertexSet.of` sorts and deduplicates what is not strictly increasing,
 and `formats` and `geometry.rat` check documents and coordinates. A
-producer whose output is canonical by construction (the restrictions and
-the induced subhypergraph here, `geometry.capture_edges`,
-`apgraphs.build_ap_hypergraph`) builds its value with `_unchecked`, which
-skips the second check.
+producer whose output is canonical by construction (`restrict_at_least`
+here, `geometry.capture_edges`, `apgraphs.build_ap_hypergraph`) builds its
+value with `_unchecked`, which skips the second check.
 """
 from __future__ import annotations
 
@@ -147,27 +146,6 @@ def restrict_at_least(h: Hypergraph, m: int) -> Hypergraph:
     return _unchecked(Hypergraph, n=h.n, edges=tuple(e for e in h.edges if len(e) >= m))
 
 
-def restrict_exact(h: Hypergraph, m: int) -> Hypergraph:
-    """Keep exactly the edges of size == m; n unchanged."""
-    return _unchecked(Hypergraph, n=h.n, edges=tuple(e for e in h.edges if len(e) == m))
-
-
-def induced_subhypergraph(h: Hypergraph, sub: VertexSet) -> Hypergraph:
-    """Induced subhypergraph on sub, reindexed by position in sub.
-
-    Edges become { e cap sub : e in E, nonempty }, deduplicated.
-    """
-    if sub.members and (sub.members[0] < 0 or sub.members[-1] >= h.n):
-        raise IndexError("vertex set not contained in [0, n)")
-    pos = {v: i for i, v in enumerate(sub.members)}
-    new_edges = set()
-    for e in h.edges:
-        t = tuple([pos[v] for v in e if v in pos])  # pos is increasing, so t is sorted
-        if t:
-            new_edges.add(t)
-    return _unchecked(Hypergraph, n=len(sub.members), edges=tuple(sorted(new_edges)))
-
-
 def is_polychromatic(h: Hypergraph, chi: ColorAssignment) -> CheckResult:
     """True iff every edge sees all k colors; else the first violating edge
     (edges are canonically ordered) with its smallest missing color."""
@@ -200,39 +178,3 @@ def is_shallow_hitting(h: Hypergraph, u: VertexSet, c: int) -> CheckResult:
         if hits > c:
             return ViolationWitness(e, "overflow", hits)
     return True
-
-
-def is_sperner(h: Hypergraph) -> bool:
-    """True iff no edge is a subset of a distinct edge."""
-    sets = [frozenset(e) for e in h.edges]
-    by_size = sorted(sets, key=len)
-    for i, small in enumerate(by_size):
-        for big in by_size[i + 1 :]:
-            if len(small) < len(big) and small < big:
-                return False
-        # equal-size distinct sets cannot nest; strict subset needs len <
-    return True
-
-
-def merge_colors(chi: ColorAssignment, classes: Iterable[int]) -> ColorAssignment:
-    """Merge the given color classes into one; polychromaticity is preserved.
-
-    The merged classes map to the smallest index among them; remaining
-    colors are renumbered to keep the range contiguous.
-    """
-    cls = sorted(set(classes))
-    if not cls:
-        raise ValueError("empty class set")
-    if cls[0] < 0 or cls[-1] >= chi.k:
-        raise ValueError("class index out of range")
-    target = cls[0]
-    remap = {}
-    nxt = 0
-    for c in range(chi.k):
-        if c in cls[1:]:
-            continue
-        remap[c] = nxt
-        nxt += 1
-    for c in cls[1:]:
-        remap[c] = remap[target]
-    return ColorAssignment(chi.k - len(cls) + 1, tuple(remap[c] for c in chi.colors))

@@ -564,8 +564,9 @@ def min_m_polychromatic(h: Hypergraph, k: int, budget: SolveBudget = SolveBudget
 # ---------------------------------------------------------------------------
 
 class PipelineError(RuntimeError):
-    """A round found no valid c-shallow hitting set. `status` is UNSAT or
-    BUDGET_EXHAUSTED from the default search, else None."""
+    """A round found no valid c-shallow hitting set: `status` is the
+    search's UNSAT or BUDGET_EXHAUSTED, or None when the set it found
+    failed its re-check."""
 
     def __init__(self, message: str, status: Optional[str] = None):
         super().__init__(message)
@@ -577,30 +578,29 @@ def coloring_pipeline(
     fam: geometry.RangeFamily,
     k: int,
     c: int,
-    hitting_oracle: Optional[Callable[[Hypergraph, int], Optional[VertexSet]]] = None,
     budget: SolveBudget = SolveBudget(),
 ) -> ColorAssignment:
     """Color the points so every captured edge of size >= c*(k-1)+1 is
     polychromatic: k-1 rounds of (shrink edges to the exact target size,
     take a c-shallow hitting set of the uniform hypergraph, color it,
-    delete it), then one final color for the survivors.
+    delete it), then one final color for the survivors. The colouring is
+    re-checked on the captured edges before it is returned.
+
+    Shrinking needs every captured edge above the target size to contain
+    a captured edge one point smaller. With tied coordinates that can
+    fail: on the points (3,3), (3,1), (1,1), (3,0) with strips, k = 2 and
+    c = 1, the x = 3 edge {0, 1, 3} has no captured 2-point sub-edge, and
+    `geometry.shrink_edge` raises ValueError.
     """
     if k < 1 or c < 1:
         raise ValueError("k and c must be positive")
     n = len(points.points)
     colors = [k - 1] * n
 
-    status = None  # of the default oracle's last search
-    if hitting_oracle is None:
-        def hitting_oracle(hu: Hypergraph, cc: int) -> Optional[VertexSet]:
-            nonlocal status
-            res = solve_shallow_hitting(hu, cc, budget)
-            status = res.status
-            return res.witness if res.status == SAT else None
-
     threshold = c * (k - 1) + 1
+    captured = geometry.capture_edges(points, fam, at_least=threshold)
     # current edges as original-index vertex sets
-    current = set(geometry.capture_edges(points, fam, at_least=threshold).edges)
+    current = set(captured.edges)
     alive = sorted(range(n))
 
     for j in range(k - 1):
@@ -626,33 +626,23 @@ def coloring_pipeline(
             e_sub = tuple(sorted(to_sub[v] for v in e))
             uniform.add(shrink_to(e_sub))
         hu = Hypergraph.from_edges(len(alive), uniform)
-        u = hitting_oracle(hu, c)
-        if u is None:
-            raise PipelineError(f"no {c}-shallow hitting set found in round {j}", status)
-        chk = is_shallow_hitting(hu, u, c)
+        res = solve_shallow_hitting(hu, c, budget)
+        if res.status != SAT:
+            raise PipelineError(f"no {c}-shallow hitting set found in round {j}", res.status)
+        chk = is_shallow_hitting(hu, res.witness, c)
         if chk is not True:
-            raise PipelineError(f"oracle returned an invalid hitting set: {chk}")
-        hit_orig = {to_orig[v] for v in u.members}
+            raise PipelineError(f"round {j}'s hitting set failed its re-check: {chk}")
+        hit_orig = {to_orig[v] for v in res.witness.members}
         for v in hit_orig:
             colors[v] = j
         alive = [v for v in alive if v not in hit_orig]
         current = {
             tuple(to_orig[w] for w in eu if to_orig[w] not in hit_orig) for eu in uniform
         }
-    return ColorAssignment(k, tuple(colors))
-
-
-# ---------------------------------------------------------------------------
-# Campaign runner
-# ---------------------------------------------------------------------------
-
-def solve_many(problems, kind: str, budget: SolveBudget = SolveBudget()):
-    """Solve a batch of (hypergraph, parameter) problems in input order;
-    kind is "color" or "hitting"."""
-    solve = {"color": solve_polychromatic, "hitting": solve_shallow_hitting}.get(kind)
-    if solve is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return [solve(h, p, budget) for h, p in problems]
+    chi = ColorAssignment(k, tuple(colors))
+    if is_polychromatic(captured, chi) is not True:
+        raise AssertionError("pipeline colouring failed its re-check")
+    return chi
 
 
 # ---------------------------------------------------------------------------

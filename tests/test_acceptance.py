@@ -66,7 +66,6 @@ from polyshallow.solvers import (
     coloring_pipeline,
     min_m_polychromatic,
     probe_candidates,
-    solve_many,
     solve_polychromatic,
     solve_shallow_hitting,
 )
@@ -439,7 +438,7 @@ def test_criterion_10_solver_soundness():
     budget = SolveBudget(max_nodes=10**6)
     outs = []
     for _ in range(3):
-        res = solve_many(problems, "color", budget=budget)
+        res = [solve_polychromatic(h, k, budget) for h, k in problems]
         outs.append(repr([
             (r.status, None if r.witness is None else tuple(r.witness.colors),
              r.stats.nodes) for r in res

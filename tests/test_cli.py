@@ -99,9 +99,21 @@ def test_pipeline_round_without_hitting_set_exit_code(tmp_path, capsys, monkeypa
     got, out = run_cli(tmp_path, "pipeline", "--points", str(p), "--family", "strips",
                        "--k", "3", "--c", "1", *budget)
     assert got == code and out is None
-    msg = ("oracle returned an invalid hitting set" if search
+    msg = ("round 0's hitting set failed its re-check" if search
            else "no 1-shallow hitting set found in round 0")
     assert capsys.readouterr().err.startswith(f"error: {msg}")
+
+
+def test_pipeline_tied_coordinates_exit_code(tmp_path, capsys):
+    """The x = 3 strip edge {0, 1, 3} has no captured sub-edge one point
+    smaller, so the round cannot shrink it to size c + 1 = 2."""
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"format": 1, "dim": 2, "points": [[3, 3], [3, 1], [1, 1], [3, 0]]}))
+    code, out = run_cli(tmp_path, "pipeline", "--points", str(p), "--family", "strips",
+                        "--k", "2", "--c", "1")
+    assert code == 2 and out is None
+    assert capsys.readouterr().err == ("error: no removable vertex keeps the edge capturable "
+                                       "(family violates the shrink hypothesis here)\n")
 
 
 @pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"), ("--budget-millis", "-3")])
@@ -488,6 +500,10 @@ def _group_p_past_n(inst: dict) -> dict:
      {"format": 1, "k": 2, "colors": ["0"] * 6}, "colors must be a list"),
     (["witness", "thm5", "--k", "2", "--coloring"],
      {"format": 1, "k": "2", "colors": [0] * 6}, "k must be an integer"),
+    (["witness", "thm3", "--k", "4", "--coloring"],
+     {"format": 1, "k": 2, "colors": [0, 1] * 4}, "coloring has k = 2 colors, not k = 4"),
+    (["witness", "thm5", "--k", "4", "--coloring"],
+     {"format": 1, "k": 2, "colors": [0, 1] * 8}, "coloring has k = 2 colors, not k = 4"),
     (["falsify", "thm2", "--set"], {"format": 1, "members": ["1"]}, "members must be a list"),
     (["falsify", "thm2", "--set"], {"format": 1, "members": [0, 99999]},
      "--set member 99999 is outside [0, 92)"),
@@ -529,7 +545,8 @@ def _group_p_past_n(inst: dict) -> dict:
     (["embed", "--map", "hextants-pqr"], None, "this map needs --points"),
     (["embed", "--map", "rectangles-tfin"], None, "this map needs --points"),
 ], ids=["spec-param-str", "spec-params-int", "spec-offset-str", "spec-kind-list",
-        "coloring-color-str", "coloring-k-str", "set-member-str", "set-member-past-n",
+        "coloring-color-str", "coloring-k-str", "coloring-k-not-thm3", "coloring-k-not-thm5",
+        "set-member-str", "set-member-past-n",
         "set-member-negative", "spec-generator-list",
         "instance-params-int", "instance-family-str", "instance-tag-list",
         "instance-strip-count", "instance-s-str", "instance-groups-list",

@@ -10,13 +10,9 @@ from polyshallow.core import (
     Hypergraph,
     VertexSet,
     ViolationWitness,
-    induced_subhypergraph,
     is_polychromatic,
     is_shallow_hitting,
-    is_sperner,
-    merge_colors,
     restrict_at_least,
-    restrict_exact,
 )
 
 
@@ -58,20 +54,13 @@ def test_restrict_at_least_examples():
     assert restrict_at_least(h, 6).n == 6
 
 
-def test_restrict_exact_examples():
-    h = H(6, [[0, 1], [0, 1, 2], [1, 2, 3], [0, 1, 2, 3, 4]])
-    assert all(len(e) == 3 for e in restrict_exact(h, 3).edges)
-    assert len(restrict_exact(h, 3).edges) == 2
-    assert restrict_exact(h, 0).edges == ()
-
-
 def test_restrict_partition_identity():
     rng = random.Random(1)
     for _ in range(50):
         n = rng.randint(1, 8)
         h = H(n, [rng.sample(range(n), rng.randint(1, n)) for _ in range(6)])
         for m in range(1, n + 1):
-            lhs = set(restrict_exact(h, m).edges) | set(restrict_at_least(h, m + 1).edges)
+            lhs = {e for e in h.edges if len(e) == m} | set(restrict_at_least(h, m + 1).edges)
             assert lhs == set(restrict_at_least(h, m).edges)
 
 
@@ -82,20 +71,6 @@ def test_restrict_monotonicity():
         h = H(n, [rng.sample(range(n), rng.randint(1, n)) for _ in range(7)])
         for m in range(1, n):
             assert set(restrict_at_least(h, m + 1).edges) <= set(restrict_at_least(h, m).edges)
-
-
-def test_induced_examples():
-    h = H(3, [[0, 1, 2]])
-    got = induced_subhypergraph(h, VertexSet.of([0, 2]))
-    assert got.n == 2 and got.edges == ((0, 1),)
-    h2 = H(3, [[0, 1], [1, 2]])
-    assert induced_subhypergraph(h2, VertexSet.of([0, 1, 2])) == h2
-    assert induced_subhypergraph(h2, VertexSet.of([1])).edges == ((0,),)
-
-
-def test_induced_out_of_range():
-    with pytest.raises(IndexError):
-        induced_subhypergraph(H(2, [[0, 1]]), VertexSet.of([0, 5]))
 
 
 def test_polychromatic_examples():
@@ -229,44 +204,6 @@ def test_vertex_set_contains_matches_set_membership():
         vs = VertexSet.of(members)
         for v in range(-3, n + 3):
             assert (v in vs) == (v in members)
-
-
-def test_sperner():
-    assert is_sperner(H(3, [[0, 1], [1, 2]])) is True
-    assert is_sperner(H(3, [[0, 1], [0, 1, 2]])) is False
-    # uniform restrictions are always Sperner
-    rng = random.Random(4)
-    for _ in range(20):
-        n = rng.randint(2, 9)
-        h = H(n, [rng.sample(range(n), rng.randint(1, n)) for _ in range(8)])
-        for m in range(1, n + 1):
-            assert is_sperner(restrict_exact(h, m)) is True
-
-
-def test_merge_colors_examples():
-    chi = ColorAssignment(3, (0, 1, 2))
-    got = merge_colors(chi, {1, 2})
-    assert got.k == 2 and got.colors == (0, 1, 1)
-    allm = merge_colors(chi, {0, 1, 2})
-    assert allm.k == 1 and allm.colors == (0, 0, 0)
-    with pytest.raises(ValueError):
-        merge_colors(chi, set())
-
-
-def test_merge_preserves_polychromaticity():
-    rng = random.Random(5)
-    kept = 0
-    while kept < 40:
-        n = rng.randint(2, 8)
-        k = rng.randint(2, 4)
-        h = H(n, [rng.sample(range(n), rng.randint(k, n)) for _ in range(5) if n >= k])
-        chi = ColorAssignment(k, tuple(rng.randrange(k) for _ in range(n)))
-        if is_polychromatic(h, chi) is not True:
-            continue
-        kept += 1
-        classes = rng.sample(range(k), rng.randint(2, k))
-        merged = merge_colors(chi, classes)
-        assert is_polychromatic(h, merged) is True
 
 
 def test_coloring_downward_closure():

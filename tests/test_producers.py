@@ -13,9 +13,7 @@ from polyshallow.apgraphs import APSpec, build_ap_hypergraph
 from polyshallow.core import (
     Hypergraph,
     VertexSet,
-    induced_subhypergraph,
     restrict_at_least,
-    restrict_exact,
 )
 from polyshallow.geometry import (
     BOTTOMLESS,
@@ -103,24 +101,18 @@ def test_from_edges_valid_property(h):
 
 
 @settings(max_examples=150)
-@given(h=hypergraphs, data=st.data())
-def test_restrictions_and_induced_valid_property(h, data):
+@given(h=hypergraphs)
+def test_restriction_valid_property(h):
     for m in range(h.max_edge_size + 2):
         assert_valid(restrict_at_least(h, m))
-        assert_valid(restrict_exact(h, m))
-    sub = VertexSet.of(data.draw(st.lists(st.integers(0, h.n - 1), max_size=h.n))
-                       if h.n else [])
-    assert_valid(induced_subhypergraph(h, sub))
 
 
-def test_restrictions_and_induced_valid():
+def test_restriction_valid():
     rng = random.Random(32)
     for _ in range(60):
         h = rand_hypergraph(rng, 9, 12)
         for m in range(h.max_edge_size + 2):
             assert_valid(restrict_at_least(h, m))
-            assert_valid(restrict_exact(h, m))
-        assert_valid(induced_subhypergraph(h, VertexSet.of(rng.sample(range(h.n), rng.randint(0, h.n)))))
 
 
 # -- core.VertexSet.of ----------------------------------------------------------

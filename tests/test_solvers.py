@@ -23,7 +23,6 @@ from polyshallow.core import (
     is_polychromatic,
     is_shallow_hitting,
     restrict_at_least,
-    restrict_exact,
 )
 from polyshallow import solvers
 from polyshallow.geometry import (
@@ -39,7 +38,6 @@ from polyshallow.solvers import (
     BUDGET_EXHAUSTED,
     SAT,
     UNSAT,
-    PipelineError,
     SolveBudget,
     brute_force_polychromatic,
     brute_force_shallow,
@@ -47,7 +45,6 @@ from polyshallow.solvers import (
     min_m_polychromatic,
     min_shallow_c,
     probe_candidates,
-    solve_many,
     solve_polychromatic,
     solve_shallow_hitting,
 )
@@ -111,7 +108,7 @@ def test_minimal_edges_match_oracle():
     rng = random.Random(63)
     hs = [rand_hypergraph(rng, 12, 30) for _ in range(150)]
     hs += [restrict_at_least(h, rng.randint(1, 4)) for h in _strip_union_captures(rng, 40, 10)]
-    hs += [restrict_exact(h, 3) for h in hs[:20]]
+    hs += [Hypergraph(h.n, tuple(e for e in h.edges if len(e) == 3)) for h in hs[:20]]
     for h in hs:
         for step in (1, 2):
             levels = solvers._Levels(h)
@@ -205,7 +202,7 @@ def test_determinism_across_runs():
     budget = SolveBudget(max_nodes=10**6)
     runs = []
     for _ in range(3):
-        results = solve_many(problems, "color", budget=budget)
+        results = [solve_polychromatic(h, k, budget) for h, k in problems]
         runs.append([
             (r.status, None if r.witness is None else tuple(r.witness.colors),
              r.stats.nodes)
@@ -416,17 +413,6 @@ def test_pipeline_k1():
     assert chi.k == 1 and set(chi.colors) == {0}
 
 
-def test_pipeline_oracle_failure_reported():
-    rng = random.Random(57)
-    p = rand_points_distinct(rng, 8, 2)
-
-    def broken_oracle(hu, c):
-        return None
-
-    with pytest.raises(PipelineError):
-        coloring_pipeline(p, STRIPS, 2, 3, hitting_oracle=broken_oracle)
-
-
 def test_min_m_bottomless_envelope():
     # instance-level m at k=2 never exceeds the proven family bound 3k-2 = 4
     rng = random.Random(58)
@@ -462,6 +448,7 @@ def test_probe_candidates_deterministic():
 ONE = Hypergraph.from_edges(1, [[0]])  # decided before any branching
 QUAD = Hypergraph.from_edges(4, [[0, 1, 2, 3]])
 PAIRS = Hypergraph.from_edges(4, [[0, 1], [2, 3]])
+DIAGONAL = PointSet.of([[i, i] for i in range(4)])
 
 
 @pytest.mark.parametrize("run, checker, rejected_call", [
@@ -470,7 +457,8 @@ PAIRS = Hypergraph.from_edges(4, [[0, 1], [2, 3]])
     (lambda: solve_shallow_hitting(ONE, 1), "is_shallow_hitting", 1),
     (lambda: solve_shallow_hitting(PAIRS, 1), "is_shallow_hitting", 1),
     (lambda: min_m_polychromatic(QUAD, 2), "is_polychromatic", 1),  # the re-check on H_>=m
-], ids=["color-root", "color-search", "hit-root", "hit-search", "min-m"])
+    (lambda: coloring_pipeline(DIAGONAL, STRIPS, 2, 1), "is_polychromatic", 1),
+], ids=["color-root", "color-search", "hit-root", "hit-search", "min-m", "pipeline"])
 def test_rejected_witness_raises(monkeypatch, run, checker, rejected_call):
     calls = []
 

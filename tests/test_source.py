@@ -93,9 +93,7 @@ def test_geometry_tables_are_immutable():
 UNCHECKED_PRODUCERS = {
     ("core", "Hypergraph.from_edges"): "test_from_edges_valid_property",
     ("core", "VertexSet.of"): "test_vertex_set_of_valid_property",
-    ("core", "restrict_at_least"): "test_restrictions_and_induced_valid_property",
-    ("core", "restrict_exact"): "test_restrictions_and_induced_valid_property",
-    ("core", "induced_subhypergraph"): "test_restrictions_and_induced_valid_property",
+    ("core", "restrict_at_least"): "test_restriction_valid_property",
     ("geometry", "capture_edges"): "test_capture_edges_valid_property",
     ("apgraphs", "build_ap_hypergraph"): "test_build_ap_hypergraph_valid_property",
 }
