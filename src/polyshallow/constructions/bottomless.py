@@ -70,7 +70,6 @@ def build_bottomless_no3shs(m: int) -> ConstructionInstance:
         BOTTOMLESS,
         {"m": m},
         groups,
-        theorem_scale=(m >= 12),
     )
 
 

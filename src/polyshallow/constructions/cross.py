@@ -33,13 +33,9 @@ def build_cross_lb(k: int) -> ConstructionInstance:
     )
 
 
-def witness_cross(
-    k: int, coloring: ColorAssignment, inst: ConstructionInstance | None = None
-) -> ViolationWitness:
+def witness_cross(k: int, coloring: ColorAssignment, inst: ConstructionInstance) -> ViolationWitness:
     """Any k-coloring leaves a common color absent from 3 clusters; their
     union is a cross-captured edge of size 3*(ceil(3k/4)-1) missing it."""
-    if inst is None:
-        inst = build_cross_lb(k)
     if coloring.k != k:
         raise ValueError(f"coloring has k = {coloring.k} colors, not k = {k}")
     t = inst.params["copies"]

@@ -44,15 +44,11 @@ def build_dual_strip_lb(k: int) -> tuple[list[Strip], Hypergraph, dict]:
     return strips, dual_strips_hypergraph(strips), {"k": k, "copies": t, "groups": groups}
 
 
-def witness_dual_strip(
-    k: int, coloring: ColorAssignment, meta: dict | None = None
-) -> ViolationWitness:
+def witness_dual_strip(k: int, coloring: ColorAssignment, meta: dict) -> ViolationWitness:
     """Any k-coloring of the strips leaves some color absent from the
     copies of two base strips; the stabbed edge of their private cell
     (all copies of both) misses that color. The edge is re-checked: it
     must be the set of strips that contain the private cell."""
-    if meta is None:
-        _, _, meta = build_dual_strip_lb(k)
     if coloring.k != k:
         raise ValueError(f"coloring has k = {coloring.k} colors, not k = {k}")
     t = meta["copies"]

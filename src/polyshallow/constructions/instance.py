@@ -18,6 +18,11 @@ def copies_per_base(k: int) -> int:
     return -(-3 * k // 4) - 1
 
 
+# m whose row sub-instance the exact solver proves to have no 2-shallow
+# hitting set (tests/test_constructions.py, test_thm4_row_certificate)
+CERTIFIED_M = frozenset({22})
+
+
 @dataclass(frozen=True)
 class ConstructionInstance:
     """Point set plus named vertex groups (index tuples) and parameters."""
@@ -27,9 +32,18 @@ class ConstructionInstance:
     family: RangeFamily
     params: dict
     groups: dict  # name -> tuple of vertex indices
-    # True where the construction's claim is proven for this instance
-    # (thm2: m >= 12; thm4: a certified m); False for flagged test sizes
-    theorem_scale: bool = True
+
+    @property
+    def theorem_scale(self) -> bool:
+        """True where the construction's claim is proven for this instance:
+        thm2 needs m >= 12 and thm4 a certified m; the other kinds claim
+        theirs at every size."""
+        m = self.params.get("m")
+        if self.kind == "thm2":
+            return isinstance(m, int) and m >= 12
+        if self.kind == "thm4":
+            return isinstance(m, int) and m in CERTIFIED_M
+        return True
 
     @property
     def n(self) -> int:

@@ -57,13 +57,13 @@ For other m the builder stretches each pattern over the group sizes
 the forcing in 4, but certificates A and B are not known to hold there.
 m = 22 is the only certified m (``CERTIFIED_M``). Below theorem scale,
 and at theorem-scale m other than 22, the instance may admit 2-shallow
-hitting sets: the row sub-instances at m = 25 and m = 28 have them. The
-builder therefore sets ``theorem_scale`` only at a certified m and warns
-at every other m; the falsifier warns on an uncertified instance. The
-falsifier is exact for every m:
-it walks the steps above and ends with a scan of every exact-m vertical
-and horizontal window, which together are exactly the edges of H_{=m},
-so it aborts only on a genuine 2-shallow hitting set.
+hitting sets: the row sub-instances at m = 25 and m = 28 have them. An
+instance therefore claims ``theorem_scale`` only at a certified m, and
+the builder warns at every other m; the falsifier warns on an
+uncertified instance. The falsifier is exact for every m: it walks the
+steps above and ends with a scan of every exact-m vertical and
+horizontal window, which together are exactly the edges of H_{=m}, so it
+aborts only on a genuine 2-shallow hitting set.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ from fractions import Fraction
 
 from ..core import ViolationWitness, VertexSet
 from ..geometry import STRIPS, PointSet
-from .instance import ConstructionInstance, FalsifierAbort, checked_witness
+from .instance import CERTIFIED_M, ConstructionInstance, FalsifierAbort, checked_witness
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,6 @@ class GadgetParams:
         return {"X": 2 * a, "B": self.nB, "C": self.nB, "E": a - b // 2,
                 "F": a - b // 2, "H": b, "G": b - 2, "D": 1, "I": 1,
                 "J": 1, "K": 1}
-
-
-# m whose row sub-instance the exact solver proves to have no 2-shallow
-# hitting set (tests/test_constructions.py, test_thm4_row_certificate)
-CERTIFIED_M = frozenset({22})
 
 
 def _warn_uncertified(m: int) -> None:
@@ -228,7 +223,6 @@ def build_strip_no2shs(m: int) -> ConstructionInstance:
         STRIPS,
         {"m": m, "a": a, "b": b},
         named,
-        theorem_scale=m in CERTIFIED_M,
     )
 
 

@@ -183,14 +183,17 @@ def instance_from(doc: dict) -> ConstructionInstance:
     for k in groups:  # one min and one max: instances run to thousands of points
         if _ints(groups, k) and not 0 <= min(groups[k]) <= max(groups[k]) < len(points):
             raise ValueError(f"{k} names a vertex outside [0, {len(points)})")
-    return ConstructionInstance(
+    inst = ConstructionInstance(
         kind,
         points,
         family,
         {k: (tuple(v) if isinstance(v, list) else v) for k, v in params.items()},
         {k: tuple(groups[k]) for k in groups},
-        theorem_scale,
     )
+    if theorem_scale != inst.theorem_scale:
+        raise ValueError(f"theorem_scale must be {str(inst.theorem_scale).lower()} "
+                         f"for this {kind} instance")
+    return inst
 
 
 # -- results -----------------------------------------------------------------

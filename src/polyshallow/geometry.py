@@ -555,21 +555,10 @@ def shrink_edge(p: PointSet, fam: RangeFamily, e: VertexSet) -> VertexSet:
         raise ValueError("edge must have at least 2 vertices to shrink")
     if not capture_contains(p, fam, e):
         raise ValueError("edge is not capturable by the family")
-    order: list[int] = []
-
-    def extreme(axis: int, want_max: bool) -> int:
-        key = lambda i: (p.ranks[axis][i], i)
-        return (max if want_max else min)(members, key=key)
-
-    axes_plan = [(1, True), (0, False), (0, True), (1, False)]
-    for ax in range(2, p.dim):
-        axes_plan.append((ax, True))
-        axes_plan.append((ax, False))
-    for ax, want_max in axes_plan:
-        v = extreme(ax, want_max)
-        if v not in order:
-            order.append(v)
-    for v in order:
+    plan = [(1, max), (0, min), (0, max), (1, min)]
+    plan += [(ax, pick) for ax in range(2, p.dim) for pick in (max, min)]
+    for v in dict.fromkeys(pick(members, key=lambda i, r=p.ranks[ax]: (r[i], i))
+                           for ax, pick in plan):
         rest = VertexSet.of(m for m in members if m != v)
         if capture_contains(p, fam, rest):
             return rest

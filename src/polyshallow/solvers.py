@@ -586,11 +586,14 @@ def coloring_pipeline(
     delete it), then one final color for the survivors. The colouring is
     re-checked on the captured edges before it is returned.
 
-    Shrinking needs every captured edge above the target size to contain
-    a captured edge one point smaller. With tied coordinates that can
-    fail: on the points (3,3), (3,1), (1,1), (3,0) with strips, k = 2 and
-    c = 1, the x = 3 edge {0, 1, 3} has no captured 2-point sub-edge, and
-    `geometry.shrink_edge` raises ValueError.
+    A round groups its edges by size. From the largest size down to
+    target + 1, `geometry.shrink_edge` shrinks each edge of a level once,
+    into the level one point smaller; the target level is the round's
+    uniform hypergraph. That needs every captured edge above the target
+    to contain a captured edge one point smaller, which tied coordinates
+    can break: on the points (3,3), (3,1), (1,1), (3,0) with strips, k = 2
+    and c = 1, the x = 3 edge {0, 1, 3} has no captured 2-point sub-edge,
+    and `geometry.shrink_edge` raises ValueError.
     """
     if k < 1 or c < 1:
         raise ValueError("k and c must be positive")
@@ -599,46 +602,34 @@ def coloring_pipeline(
 
     threshold = c * (k - 1) + 1
     captured = geometry.capture_edges(points, fam, at_least=threshold)
-    # current edges as original-index vertex sets
-    current = set(captured.edges)
-    alive = sorted(range(n))
+    current = captured.edges  # the round's edges, in original indices
+    alive = list(range(n))  # sub-index -> original index
 
     for j in range(k - 1):
         target = c * (k - 1 - j) + 1
         sub_points = geometry.PointSet(points.dim, tuple(points.points[v] for v in alive))
-        to_orig = list(alive)
         to_sub = {v: i for i, v in enumerate(alive)}
-        shrink_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def shrink_to(edge_sub: tuple[int, ...]) -> tuple[int, ...]:
-            e = edge_sub
-            while len(e) > target:
-                if e in shrink_memo:
-                    e = shrink_memo[e]
-                    continue
-                smaller = geometry.shrink_edge(sub_points, fam, VertexSet(e)).members
-                shrink_memo[e] = smaller
-                e = smaller
-            return e
-
-        uniform: set[tuple[int, ...]] = set()
+        # Each edge has >= target points: round 0's by `at_least=threshold`,
+        # a later one's as a uniform edge loses at most c points to its hits.
+        levels: dict[int, set[Edge]] = {}
         for e in current:
-            e_sub = tuple(sorted(to_sub[v] for v in e))
-            uniform.add(shrink_to(e_sub))
-        hu = Hypergraph.from_edges(len(alive), uniform)
+            levels.setdefault(len(e), set()).add(tuple(to_sub[v] for v in e))
+        for size in range(max(levels, default=target), target, -1):
+            smaller = levels.setdefault(size - 1, set())
+            for e in levels.pop(size, ()):
+                smaller.add(geometry.shrink_edge(sub_points, fam, VertexSet(e)).members)
+        hu = Hypergraph.from_edges(len(alive), levels.get(target, ()))
         res = solve_shallow_hitting(hu, c, budget)
         if res.status != SAT:
             raise PipelineError(f"no {c}-shallow hitting set found in round {j}", res.status)
         chk = is_shallow_hitting(hu, res.witness, c)
         if chk is not True:
             raise PipelineError(f"round {j}'s hitting set failed its re-check: {chk}")
-        hit_orig = {to_orig[v] for v in res.witness.members}
-        for v in hit_orig:
+        hit = {alive[v] for v in res.witness.members}
+        for v in hit:
             colors[v] = j
-        alive = [v for v in alive if v not in hit_orig]
-        current = {
-            tuple(to_orig[w] for w in eu if to_orig[w] not in hit_orig) for eu in uniform
-        }
+        current = {tuple(alive[w] for w in e if alive[w] not in hit) for e in hu.edges}
+        alive = [v for v in alive if v not in hit]
     chi = ColorAssignment(k, tuple(colors))
     if is_polychromatic(captured, chi) is not True:
         raise AssertionError("pipeline colouring failed its re-check")
@@ -657,24 +648,22 @@ def probe_candidates(
     inputs the falsifiers must defeat."""
     rng = random.Random(seed)
     out: list[VertexSet] = []
-    edges = [set(e) for e in h.edges]
-    edges_of: list[list[int]] = [[] for _ in range(h.n)]
-    for ei, e in enumerate(edges):
+    degree = [0] * h.n
+    for e in h.edges:
         for v in e:
-            edges_of[v].append(ei)
+            degree[v] += 1
     for i in range(count):
         if i % 2 == 0:
             # greedy cover: walk the edges in a seeded order, hit each
-            # uncovered edge with its highest-degree vertex (seeded ties)
+            # uncovered edge with its highest-degree vertex (seeded ties,
+            # drawn in the increasing order of the edge's tuple)
             members: set[int] = set()
-            order = list(range(len(edges)))
+            order = list(range(len(h.edges)))
             rng.shuffle(order)
             for ei in order:
-                e = edges[ei]
-                if any(v in members for v in e):
-                    continue
-                v = max(sorted(e), key=lambda u: (len(edges_of[u]), rng.random()))
-                members.add(v)
+                e = h.edges[ei]
+                if members.isdisjoint(e):
+                    members.add(max(e, key=lambda u: (degree[u], rng.random())))
             out.append(VertexSet.of(members))
         else:
             res = solve_shallow_hitting(h, c, SolveBudget(max_nodes=50 + 37 * i))

@@ -10,8 +10,10 @@ power difference sets and the corner labellings, the
 Fraction-arithmetic references of the three forward embedding maps and
 of the chain digit walk, the per-row layout of the strips construction,
 the edge canonicalisation of `Hypergraph.from_edges` that sorts every
-edge, and the capture enumeration with all ordered strip pairs and string
-member lists."""
+edge, the capture enumeration with all ordered strip pairs and string
+member lists, the colouring pipeline that walks each edge down
+through a memo of one-step shrinks, and the probe candidates that count
+degrees from an edge list per vertex."""
 from __future__ import annotations
 
 import itertools
@@ -27,10 +29,12 @@ from polyshallow.apgraphs import APEdgeLabel, a0_admissible, enumerate_differenc
 from polyshallow.constructions import ConstructionInstance, GadgetParams
 from polyshallow.constructions import strips
 from polyshallow.core import (
+    ColorAssignment,
     Hypergraph,
     VertexSet,
     ViolationWitness,
     is_polychromatic,
+    is_shallow_hitting,
     restrict_at_least,
 )
 from polyshallow.embeddings import (
@@ -696,8 +700,7 @@ def reference_build_strip_no2shs(m: int) -> ConstructionInstance:
     named = {name: tuple(v for _, v in sorted(members)) for name, members in groups.items()}
     named["chi"] = tuple(chi)
     return ConstructionInstance("thm4", PointSet.of(pts, dim=2), STRIPS,
-                                {"m": m, "a": a, "b": b}, named,
-                                theorem_scale=m in strips.CERTIFIED_M)
+                                {"m": m, "a": a, "b": b}, named)
 
 
 def reference_from_edges(n: int, edges) -> Hypergraph:
@@ -751,3 +754,127 @@ def reference_capture_edges(p: PointSet, fam, exact=None, at_least=None) -> Hype
         sets = [s for s in sets if s.bit_count() >= at_least]
     indices = range(n)
     return Hypergraph(n, tuple(sorted(_reference_members(s, indices) for s in sets)))
+
+
+# ---------------------------------------------------------------------------
+# Colouring pipeline: a memo walk per edge, one extreme per call of a helper
+# ---------------------------------------------------------------------------
+
+def reference_shrink_edge(p: PointSet, fam, e: VertexSet) -> VertexSet:
+    """`geometry.shrink_edge` with each extreme found by its own helper call
+    and the removal order deduplicated by list membership."""
+    members = e.members
+    if len(members) < 2:
+        raise ValueError("edge must have at least 2 vertices to shrink")
+    if not capture_contains(p, fam, e):
+        raise ValueError("edge is not capturable by the family")
+    order: list[int] = []
+
+    def extreme(axis: int, want_max: bool) -> int:
+        key = lambda i: (p.ranks[axis][i], i)
+        return (max if want_max else min)(members, key=key)
+
+    axes_plan = [(1, True), (0, False), (0, True), (1, False)]
+    for ax in range(2, p.dim):
+        axes_plan.append((ax, True))
+        axes_plan.append((ax, False))
+    for ax, want_max in axes_plan:
+        v = extreme(ax, want_max)
+        if v not in order:
+            order.append(v)
+    for v in order:
+        rest = VertexSet.of(m for m in members if m != v)
+        if capture_contains(p, fam, rest):
+            return rest
+    raise ValueError("no removable vertex keeps the edge capturable "
+                     "(family violates the shrink hypothesis here)")
+
+
+def reference_coloring_pipeline(points: PointSet, fam, k: int, c: int,
+                                budget: solvers.SolveBudget = solvers.SolveBudget()):
+    """`solvers.coloring_pipeline` shrinking each edge on its own: a walk
+    down to the target size through a per-round memo of one-step shrinks
+    by `reference_shrink_edge`, with a second, sub-to-original copy of the
+    index map."""
+    if k < 1 or c < 1:
+        raise ValueError("k and c must be positive")
+    n = len(points.points)
+    colors = [k - 1] * n
+    threshold = c * (k - 1) + 1
+    captured = capture_edges(points, fam, at_least=threshold)
+    current = set(captured.edges)
+    alive = sorted(range(n))
+    for j in range(k - 1):
+        target = c * (k - 1 - j) + 1
+        sub_points = PointSet(points.dim, tuple(points.points[v] for v in alive))
+        to_orig = list(alive)
+        to_sub = {v: i for i, v in enumerate(alive)}
+        shrink_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def shrink_to(edge_sub: tuple[int, ...]) -> tuple[int, ...]:
+            e = edge_sub
+            while len(e) > target:
+                if e in shrink_memo:
+                    e = shrink_memo[e]
+                    continue
+                smaller = reference_shrink_edge(sub_points, fam, VertexSet(e)).members
+                shrink_memo[e] = smaller
+                e = smaller
+            return e
+
+        uniform = {shrink_to(tuple(sorted(to_sub[v] for v in e))) for e in current}
+        hu = Hypergraph.from_edges(len(alive), uniform)
+        res = solvers.solve_shallow_hitting(hu, c, budget)
+        if res.status != solvers.SAT:
+            raise solvers.PipelineError(f"no {c}-shallow hitting set found in round {j}",
+                                        res.status)
+        chk = is_shallow_hitting(hu, res.witness, c)
+        if chk is not True:
+            raise solvers.PipelineError(f"round {j}'s hitting set failed its re-check: {chk}")
+        hit_orig = {to_orig[v] for v in res.witness.members}
+        for v in hit_orig:
+            colors[v] = j
+        alive = [v for v in alive if v not in hit_orig]
+        current = {
+            tuple(to_orig[w] for w in eu if to_orig[w] not in hit_orig) for eu in uniform
+        }
+    chi = ColorAssignment(k, tuple(colors))
+    if is_polychromatic(captured, chi) is not True:
+        raise AssertionError("pipeline colouring failed its re-check")
+    return chi
+
+
+# ---------------------------------------------------------------------------
+# Probe candidates: a set per edge and an edge list per vertex for degrees
+# ---------------------------------------------------------------------------
+
+def reference_probe_candidates(h: Hypergraph, c: int, count: int, seed: int) -> list[VertexSet]:
+    """`solvers.probe_candidates` reading each degree as the length of the
+    vertex's edge list and testing cover by set membership."""
+    rng = random.Random(seed)
+    out: list[VertexSet] = []
+    edges = [set(e) for e in h.edges]
+    edges_of: list[list[int]] = [[] for _ in range(h.n)]
+    for ei, e in enumerate(edges):
+        for v in e:
+            edges_of[v].append(ei)
+    for i in range(count):
+        if i % 2 == 0:
+            members: set[int] = set()
+            order = list(range(len(edges)))
+            rng.shuffle(order)
+            for ei in order:
+                e = edges[ei]
+                if any(v in members for v in e):
+                    continue
+                members.add(max(sorted(e), key=lambda u: (len(edges_of[u]), rng.random())))
+            out.append(VertexSet.of(members))
+        else:
+            res = solvers.solve_shallow_hitting(h, c, solvers.SolveBudget(max_nodes=50 + 37 * i))
+            if res.status == solvers.SAT:
+                out.append(res.witness)
+            elif res.partial is not None:
+                out.append(res.partial)
+            else:
+                out.append(VertexSet.of(rng.sample(range(h.n), min(h.n, 5))))
+    return out

@@ -12,7 +12,8 @@ import pytest
 from polyshallow import solvers
 from polyshallow.cli import _SUBCOMMANDS, build_parser, main
 from polyshallow.core import VertexSet
-from polyshallow.formats import instance_from
+from polyshallow.constructions import build_bottomless_no3shs, build_strip_no2shs
+from polyshallow.formats import instance_doc, instance_from
 from polyshallow.geometry import PointSet, capture_edges, strip_union
 
 
@@ -488,6 +489,17 @@ def _group_p_past_n(inst: dict) -> dict:
     return inst | {"groups": inst["groups"] | {"P": inst["groups"]["P"][:-1] + [99999]}}
 
 
+def _scale_flipped(build, m: int):
+    """An edit that swaps in `build(m)`'s instance document with its
+    theorem_scale flag inverted."""
+    def edit(_valid: dict) -> dict:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the uncertified-m warning of thm4
+            doc = instance_doc(build(m))
+        return doc | {"theorem_scale": not doc["theorem_scale"]}
+    return edit
+
+
 @pytest.mark.parametrize("argv, doc, msg", [
     (["ap", "--vertices", "0..5", "--spec"],
      SPEC | {"generator": {"kind": "powers", "params": ["2"]}}, "params must be a list"),
@@ -530,6 +542,10 @@ def _group_p_past_n(inst: dict) -> dict:
      "a must be an integer or a list of integers, not [1, False]"),
     (INSTANCE, {"theorem_scale": "false"}, "theorem_scale must be a JSON bool, not 'false'"),
     (INSTANCE, {"theorem_scale": 1}, "theorem_scale must be a JSON bool, not 1"),
+    (INSTANCE, _scale_flipped(build_bottomless_no3shs, 6),
+     "theorem_scale must be false for this thm2 instance"),
+    (["falsify", "thm4", "--set", "empty", "--instance"], _scale_flipped(build_strip_no2shs, 25),
+     "theorem_scale must be false for this thm4 instance"),
     (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2, "points": 5},
      "points must be a JSON list of lists"),
     (["capture", "--family", "strips", "--points"], {"format": 1, "dim": 2, "points": [5]},
@@ -552,7 +568,8 @@ def _group_p_past_n(inst: dict) -> dict:
         "instance-strip-count", "instance-s-str", "instance-groups-list",
         "instance-group-int", "instance-group-vertex-past-n", "instance-param-str",
         "instance-param-bool", "instance-param-float", "instance-param-list-bool",
-        "instance-scale-str", "instance-scale-int", "points-int", "point-int", "dim-float",
+        "instance-scale-str", "instance-scale-int", "instance-scale-thm2-m6",
+        "instance-scale-thm4-m25", "points-int", "point-int", "dim-float",
         "strip-int", "capture-family-suffix", "capture-strip-count",
         "octants-pq-no-points", "hextants-pqr-no-points", "rectangles-tfin-no-points"])
 def test_malformed_document_exit_code(tmp_path, capsys, argv, doc, msg):

@@ -12,6 +12,7 @@ from conftest import (
     rand_points,
     rand_points_distinct,
     reference_capture_edges,
+    reference_shrink_edge,
 )
 from polyshallow import formats
 from polyshallow.constructions import (
@@ -320,6 +321,34 @@ def test_shrink_edge_properties():
             assert len(got.members) == len(e.members) - 1
             assert set(got.members) < set(e.members)
             assert capture_contains(p, fam, got) is True
+
+
+def _shrink_outcome(shrink, p, fam, e):
+    """The shrunk edge's members, or the message of the ValueError."""
+    try:
+        return shrink(p, fam, e).members
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_shrink_edge_matches_reference():
+    # every captured edge, and one uncaptured set, of seeded point sets in
+    # every family, half of them with coordinates in 0..3
+    rng = random.Random(17)
+    fams = [BOTTOMLESS, STRIPS, strip_union(2), CROSS_UNION, RECTANGLES, OCTANTS,
+            TFIN_SLABS, HEXTANTS]
+    seen = set()
+    for i in range(80):
+        fam = fams[i % len(fams)]
+        n = rng.randint(2, 8)
+        p = rand_points(rng, n, fam.dim, 3) if i % 2 else rand_points_distinct(rng, n, fam.dim)
+        edges = list(capture_edges(p, fam).edges)
+        edges.append(tuple(sorted(rng.sample(range(n), rng.randint(2, n)))))
+        for e in edges:
+            got = _shrink_outcome(shrink_edge, p, fam, VertexSet.of(e))
+            assert got == _shrink_outcome(reference_shrink_edge, p, fam, VertexSet.of(e))
+            seen.add(got if isinstance(got, str) else "shrunk")
+    assert len(seen) == 4  # a shrunk edge and all three errors
 
 
 def test_capture_deterministic_and_sorted():

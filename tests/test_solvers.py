@@ -14,6 +14,8 @@ from conftest import (
     reference_hitting,
     reference_min_m,
     reference_minimal_edges,
+    reference_probe_candidates,
+    reference_coloring_pipeline,
     reference_solve_polychromatic,
 )
 from polyshallow.core import (
@@ -413,6 +415,45 @@ def test_pipeline_k1():
     assert chi.k == 1 and set(chi.colors) == {0}
 
 
+def _pipeline_outcome(pipeline, p, fam, k, c):
+    """The pipeline's colours, or the type and message of what it raised."""
+    try:
+        return pipeline(p, fam, k, c).colors
+    except (ValueError, solvers.PipelineError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _criterion_9_inputs():
+    rng = random.Random(20260109)  # criterion 9's draws, in its order
+    for trial in range(100):
+        k = 2 if trial % 2 == 0 else 3
+        yield rand_points_distinct(rng, rng.randint(10, 60), 2), STRIPS, k, 3
+
+
+def _small_inputs():
+    """4 to 12 points over five families, every other set with coordinates
+    in 0..3, so ties stop some pipelines in their shrink step."""
+    rng = random.Random(61)
+    fams = [BOTTOMLESS, STRIPS, RECTANGLES, CROSS_UNION, strip_union(2)]
+    for i in range(300):
+        n = rng.randint(4, 12)
+        p = rand_points(rng, n, 2, coord_range=3) if i % 2 else rand_points_distinct(rng, n, 2)
+        yield p, fams[i % 5], rng.randint(2, 3), rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("inputs, kinds", [
+    (_criterion_9_inputs, {"colouring"}),
+    (_small_inputs, {"colouring", "ValueError", "PipelineError"}),
+], ids=["criterion-9", "small-ties"])
+def test_pipeline_matches_reference(inputs, kinds):
+    seen = set()
+    for p, fam, k, c in inputs():
+        got = _pipeline_outcome(coloring_pipeline, p, fam, k, c)
+        assert got == _pipeline_outcome(reference_coloring_pipeline, p, fam, k, c)
+        seen.add(got[0] if isinstance(got[0], str) else "colouring")
+    assert seen == kinds
+
+
 def test_min_m_bottomless_envelope():
     # instance-level m at k=2 never exceeds the proven family bound 3k-2 = 4
     rng = random.Random(58)
@@ -443,6 +484,15 @@ def test_probe_candidates_deterministic():
     b = probe_candidates(h, 2, 10, seed=5)
     assert [x.members for x in a] == [y.members for y in b]
     assert len(a) == 10
+
+
+def test_probe_candidates_match_reference():
+    rng = random.Random(62)
+    for seed in range(200):
+        h = rand_hypergraph(rng, 14, 25)
+        c, count = rng.randint(1, 3), rng.randint(1, 8)
+        got = [s.members for s in probe_candidates(h, c, count, seed)]
+        assert got == [s.members for s in reference_probe_candidates(h, c, count, seed)]
 
 
 ONE = Hypergraph.from_edges(1, [[0]])  # decided before any branching
